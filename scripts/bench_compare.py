@@ -15,7 +15,8 @@ formats are understood:
   additionally held to *bit-exact* equality with the baseline: the SA
   walk is seeded, so any optimization that changes the visited costs (FP
   reassociation, operator reordering, RNG drift) is a correctness bug,
-  not noise.
+  not noise. Both checks always run and both verdicts are printed; the
+  gate fails if either fails.
 
 * the DSE throughput JSON (``BENCH_dse_throughput.json``): the scheduler's
   ``cpu_speedup`` (itself a within-run ratio) must not regress, and
@@ -75,10 +76,25 @@ def compare_best_costs(base_doc, cur_doc):
         print(f"\nFAIL: {len(failures)} benchmark(s) changed best_cost — "
               "the seeded SA walk is no longer bit-identical")
         return False
+    print(f"OK: best_cost bit-identical on {len(set(base) & set(cur))} "
+          "benchmark(s)")
     return True
 
 
 def compare_google(base_doc, cur_doc, tolerance, anchor):
+    """Run both google-benchmark gates and fail if either fails.
+
+    The bit-exact best_cost check always runs: a throughput regression
+    must not hide a divergence of the seeded walk (or the reverse).
+    """
+    throughput_ok = compare_throughput(base_doc, cur_doc, tolerance, anchor)
+    costs_ok = compare_best_costs(base_doc, cur_doc)
+    print(f"\nthroughput gate: {'OK' if throughput_ok else 'FAIL'}; "
+          f"best_cost gate: {'OK' if costs_ok else 'FAIL'}")
+    return throughput_ok and costs_ok
+
+
+def compare_throughput(base_doc, cur_doc, tolerance, anchor):
     base = google_benchmarks(base_doc)
     cur = google_benchmarks(cur_doc)
     if anchor not in base or anchor not in cur:
@@ -110,7 +126,7 @@ def compare_google(base_doc, cur_doc, tolerance, anchor):
               + ", ".join(failures))
         return False
     print(f"\nOK: no benchmark regressed more than {tolerance * 100:.0f}%")
-    return compare_best_costs(base_doc, cur_doc)
+    return True
 
 
 def compare_dse(base_doc, cur_doc, tolerance):

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include <math.h> // lgamma_r (POSIX; not in <cmath>)
+
 #include "src/common/logging.hh"
 
 namespace gemini {
@@ -77,7 +79,11 @@ double
 log10Factorial(std::int64_t n)
 {
     GEMINI_ASSERT(n >= 0, "log10Factorial requires n>=0");
-    return std::lgamma(static_cast<double>(n) + 1.0) / std::log(10.0);
+    // lgamma_r, not std::lgamma: the latter stores the sign in the global
+    // `signgam`, a data race when SA chains on pool workers reach this
+    // concurrently (through log10SpaceSize). Both compute the same value.
+    int sign = 0;
+    return ::lgamma_r(static_cast<double>(n) + 1.0, &sign) / std::log(10.0);
 }
 
 double

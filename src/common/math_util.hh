@@ -56,7 +56,7 @@ std::vector<Factor4> factorizations4(std::int64_t n, const Factor4 &caps);
  */
 std::int64_t countFactorizations4(std::int64_t n, const Factor4 &caps);
 
-/** log10 of n! via lgamma. */
+/** log10 of n! via the reentrant lgamma_r (safe to call concurrently). */
 double log10Factorial(std::int64_t n);
 
 /** log10 of the binomial coefficient C(n, k); -inf if k<0 or k>n. */

@@ -107,6 +107,25 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 /**
+ * Reset a record to the shape of a candidate that was never evaluated:
+ * infeasible with an infinite objective, so it can never look like a
+ * winner. Its architecture, MC and lower-bound fields stay. Records
+ * cancelled before their screen and records pruned by bound share this
+ * shape, so a pruned record does not reveal whether its stripe mapping
+ * happened to be computed before the prune could rule it out.
+ */
+void
+markUnevaluated(DseRecord &rec)
+{
+    rec.feasible = false;
+    rec.objective = kInf;
+    rec.delayGeo = 0.0;
+    rec.energyGeo = 0.0;
+    rec.perModel.clear();
+    rec.seededAnalytic = false;
+}
+
+/**
  * Fill a record's objective lower bound plus its explanatory components.
  * schedule.analyticBound selects the per-layer segmentation-DP bound
  * (maxGroupLayers caps the DP, mirroring the partitioner) or the legacy
@@ -128,6 +147,21 @@ fillLowerBound(DseRecord &rec, const cost::CostStack &stack,
     rec.boundDramSeconds = comps.dramSeconds;
     rec.boundNocSeconds = comps.nocSeconds;
     rec.boundRefetchBytes = comps.refetchBytes;
+}
+
+/**
+ * Sort candidate indices by key(i), ties by index: a deterministic order
+ * for any completion order. key must never return NaN.
+ */
+template <typename KeyFn>
+void
+sortByKeyThenIndex(std::vector<std::size_t> &indices, KeyFn key)
+{
+    std::sort(indices.begin(), indices.end(),
+              [&](std::size_t a, std::size_t b) {
+                  const double ka = key(a), kb = key(b);
+                  return ka < kb || (ka == kb && a < b);
+              });
 }
 
 /**
@@ -192,11 +226,14 @@ runOnPool(ThreadPool *external, std::size_t own_threads, std::size_t count,
  * Shared read-only intra-core memos: candidates that agree on
  * (macsPerCore, glbKiB) — tech and frequency are fixed within one DSE run
  * — search identical tile spaces, so the screen rung pools their Explorer
- * caches. Entries are exact, which keeps results independent of sharing
- * (and therefore of thread scheduling). One pool-wide mutex guards both
- * directions; on many-core hosts with huge memos the seed-side full-map
- * copy can contend — per-key locks or an immutable snapshot handoff are
- * the known next steps if the screen rung ever stops scaling.
+ * caches. Only candidates the screen actually partitions warm the pool;
+ * candidates skipped by the bound-first screen never touch it. Entries
+ * are exact, which keeps results independent of sharing (and therefore
+ * of thread scheduling and of which candidates were skipped). One
+ * pool-wide mutex guards both directions; on many-core hosts with huge
+ * memos the seed-side full-map copy can contend — per-key locks or an
+ * immutable snapshot handoff are the known next steps if the screen rung
+ * ever stops scaling.
  */
 class ExplorerPool
 {
@@ -256,6 +293,12 @@ class ExplorerPool
  * worker finishes a cohort last, from per-candidate objectives that do
  * not depend on scheduling — the whole run is deterministic for any
  * thread count.
+ *
+ * The screen is bound-first: every candidate's MC and objective lower
+ * bound are computed by one pool task each, and the last of them submits
+ * the stripe-mapping tasks in (bound, index) order. A screen task whose
+ * bound already exceeds the best stripe objective finished so far skips
+ * partitioning — it would be pruned at resolve time anyway.
  */
 class MultiFidelityScheduler
 {
@@ -340,7 +383,7 @@ class MultiFidelityScheduler
 
         for (std::size_t i : cohorts_[static_cast<std::size_t>(start)]) {
             if (start == 0)
-                enqueue([this, i] { runScreen(i); });
+                enqueue([this, i] { runBound(i); });
             else
                 enqueue([this, start, i] { runSaRung(start, i); });
         }
@@ -599,28 +642,88 @@ class MultiFidelityScheduler
         return next;
     }
 
+    /**
+     * First screen stage: MC and the objective lower bound. Both are pure
+     * arithmetic, so they are always computed locally, even in worker
+     * mode. The last finisher submits the stripe-mapping stage.
+     */
+    void
+    runBound(std::size_t i)
+    {
+        const auto t0 = std::chrono::steady_clock::now();
+        const arch::ArchConfig &cfg = candidates_[i];
+        DseRecord &rec = result_.records[i];
+        rec.arch = cfg;
+        if (!opts_.stop.stopRequested() && !abortRequested()) {
+            const cost::CostStack stack(cfg, opts_.mapping.tech,
+                                        opts_.costParams);
+            rec.mc = stack.mcBreakdown();
+            fillLowerBound(rec, stack, opts_);
+        }
+        std::lock_guard lock(mu_);
+        const double seconds = secondsSince(t0);
+        result_.stats.rungs[0].cpuSeconds += seconds;
+        rec.evalSeconds += seconds;
+        if (++boundsDone_ == cohorts_[0].size())
+            enqueueScreenLocked();
+    }
+
+    /**
+     * Submit the stripe-mapping stage in (bound, index) order (mu_ held).
+     * The pool runs tasks FIFO, so the candidates most likely to win are
+     * partitioned first and set a low incumbent early, which lets
+     * runScreen skip the most candidates. The order only decides which
+     * candidates skip work, never the result.
+     */
+    void
+    enqueueScreenLocked()
+    {
+        std::vector<std::size_t> order = cohorts_[0];
+        sortByKeyThenIndex(order, [this](std::size_t i) {
+            const double b = result_.records[i].objectiveLowerBound;
+            return std::isnan(b) ? kInf : b;
+        });
+        for (std::size_t i : order)
+            enqueue([this, i] { runScreen(i); });
+    }
+
+    /**
+     * True when the candidate's bound exceeds the incumbent: the lowest
+     * feasible, finite stripe objective finished so far (the screen
+     * rung's running bestObjective, maintained by finishTask). The
+     * incumbent never drops below the screen's final best, so such a
+     * candidate would be pruned at resolve time anyway.
+     */
+    bool
+    ruledOutByBound(const DseRecord &rec)
+    {
+        if (!opts_.schedule.lowerBoundPrune)
+            return false;
+        std::lock_guard lock(mu_);
+        return rec.objectiveLowerBound > result_.stats.rungs[0].bestObjective;
+    }
+
+    /** Second screen stage: the stripe-only T-Map of one candidate. */
     void
     runScreen(std::size_t i)
     {
         const auto t0 = std::chrono::steady_clock::now();
         const arch::ArchConfig &cfg = candidates_[i];
         DseRecord &rec = result_.records[i];
-        rec.arch = cfg;
         if (opts_.stop.stopRequested() || abortRequested()) {
             // Cancelled before evaluation: an unevaluated record must
-            // never look like a winner, so mark it infeasible with an
-            // infinite objective. The cohort still resolves normally.
-            rec.feasible = false;
-            rec.objective = kInf;
+            // never look like a winner. The cohort still resolves.
+            markUnevaluated(rec);
             finishTask(0, i, secondsSince(t0));
             return;
         }
-        // MC and the objective lower bound are pure arithmetic — always
-        // computed locally, even in worker mode.
-        const cost::CostStack stack(cfg, opts_.mapping.tech,
-                                    opts_.costParams);
-        rec.mc = stack.mcBreakdown();
-        fillLowerBound(rec, stack, opts_);
+        if (ruledOutByBound(rec)) {
+            // Skipped before partitioning (and before any worker
+            // dispatch); resolveLocked records the prune.
+            markUnevaluated(rec);
+            finishTask(0, i, secondsSince(t0));
+            return;
+        }
 
         CandState &st = states_[i];
         if (remote_) {
@@ -760,13 +863,20 @@ class MultiFidelityScheduler
         ++result_.stats.rungs[static_cast<std::size_t>(rung)].poisoned;
     }
 
+    /**
+     * Charge a finished task to the ledger and fold its objective into
+     * the rung's running best. The cohort's last finisher resolves it.
+     */
     void
     finishTask(int rung, std::size_t i, double seconds)
     {
         std::lock_guard lock(mu_);
-        result_.stats.rungs[static_cast<std::size_t>(rung)].cpuSeconds +=
-            seconds;
-        result_.records[i].evalSeconds += seconds;
+        DseRungStats &rs = result_.stats.rungs[static_cast<std::size_t>(rung)];
+        rs.cpuSeconds += seconds;
+        DseRecord &rec = result_.records[i];
+        rec.evalSeconds += seconds;
+        if (rec.feasible && std::isfinite(rec.objective))
+            rs.bestObjective = std::min(rs.bestObjective, rec.objective);
         if (++done_[static_cast<std::size_t>(rung)] ==
             cohorts_[static_cast<std::size_t>(rung)].size())
             resolveLocked(rung);
@@ -784,12 +894,6 @@ class MultiFidelityScheduler
         DseRungStats &rs = result_.stats.rungs[static_cast<std::size_t>(rung)];
         const std::vector<std::size_t> &members =
             cohorts_[static_cast<std::size_t>(rung)];
-
-        for (std::size_t i : members) {
-            const DseRecord &rec = result_.records[i];
-            if (rec.feasible && std::isfinite(rec.objective))
-                rs.bestObjective = std::min(rs.bestObjective, rec.objective);
-        }
         bestSoFar_ = std::min(bestSoFar_, rs.bestObjective);
 
         DseProgressEvent finished;
@@ -807,6 +911,9 @@ class MultiFidelityScheduler
         if (rung == 0) {
             // Sound prune: the screened best is achievable, so a candidate
             // whose lower bound exceeds it can never win, at any budget.
+            // Every pruned record gets the unevaluated shape, whether
+            // runScreen skipped it or partitioned it before the incumbent
+            // was low enough: the output never depends on that timing.
             const double best_achievable = rs.bestObjective;
             for (std::size_t i : members) {
                 DseRecord &rec = result_.records[i];
@@ -817,6 +924,8 @@ class MultiFidelityScheduler
                 } else if (opts_.schedule.lowerBoundPrune &&
                            std::isfinite(best_achievable) &&
                            rec.objectiveLowerBound > best_achievable) {
+                    markUnevaluated(rec);
+                    rec.rungReached = 0;
                     rec.prunedByBound = true;
                     ++rs.prunedBound;
                     states_[i] = CandState{};
@@ -838,17 +947,12 @@ class MultiFidelityScheduler
                 else
                     ranked.push_back(i);
             }
-            auto key = [this](std::size_t i) {
+            sortByKeyThenIndex(ranked, [this](std::size_t i) {
                 const DseRecord &rec = result_.records[i];
                 return (rec.feasible && std::isfinite(rec.objective))
                            ? rec.objective
                            : kInf;
-            };
-            std::sort(ranked.begin(), ranked.end(),
-                      [&](std::size_t a, std::size_t b) {
-                          const double ka = key(a), kb = key(b);
-                          return ka < kb || (ka == kb && a < b);
-                      });
+            });
             // minKeep may exceed the cohort (the screen prune has no
             // survivor floor), so clamp the floor itself before applying.
             const auto want = static_cast<std::size_t>(std::ceil(
@@ -908,6 +1012,7 @@ class MultiFidelityScheduler
     std::mutex mu_;
     std::vector<std::vector<std::size_t>> cohorts_; ///< members per rung
     std::vector<std::size_t> done_;                 ///< finished per rung
+    std::size_t boundsDone_ = 0; ///< screen candidates with their bound
     double bestSoFar_ = kInf; ///< best feasible objective, any rung
 
     bool journal_ = false; ///< journaling active (path set, no I/O error)

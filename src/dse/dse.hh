@@ -94,7 +94,11 @@ struct DseSchedule
     /** SA iterations of race round 1 (doubles every later round). */
     int baseIters = 64;
 
-    /** Apply the screen-rung objective lower-bound prune. */
+    /**
+     * Apply the screen-rung objective lower-bound prune. It also lets the
+     * screen skip stripe-mapping a candidate whose bound already exceeds
+     * the best stripe objective finished so far.
+     */
     bool lowerBoundPrune = true;
 
     /** Rank pruning never cuts a cohort below this many candidates. */
@@ -390,7 +394,12 @@ struct DseRecord
      */
     int rungReached = -1;
 
-    /** Dropped at the screen because its lower bound cannot win. */
+    /**
+     * Dropped at the screen because its lower bound cannot win. A pruned
+     * record keeps its MC and bound fields but carries no evaluation:
+     * infeasible, objective +inf, empty perModel, no analytic seed —
+     * the same shape as a candidate cancelled before its screen.
+     */
     bool prunedByBound = false;
 
     /**

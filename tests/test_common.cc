@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "src/common/csv.hh"
 #include "src/common/math_util.hh"
@@ -111,6 +112,34 @@ TEST(MathUtil, Log10Factorial)
     EXPECT_NEAR(log10Factorial(5), std::log10(120.0), 1e-9);
     // Stirling check: 100! ~ 9.33e157.
     EXPECT_NEAR(log10Factorial(100), 157.97, 0.01);
+}
+
+TEST(MathUtil, Log10FactorialMatchesLgammaBitForBit)
+{
+    // The reentrant lgamma_r must reproduce the std::lgamma values the
+    // SA space-size estimate was built on, bit for bit.
+    for (std::int64_t n = 0; n <= 4096; ++n) {
+        const double legacy =
+            std::lgamma(static_cast<double>(n) + 1.0) / std::log(10.0);
+        ASSERT_EQ(log10Factorial(n), legacy) << "n = " << n;
+    }
+}
+
+TEST(MathUtil, Log10FactorialIsSafeToCallConcurrently)
+{
+    // SA chains on pool workers call this at the same time; each thread
+    // must see the serial values (and a race detector must stay quiet).
+    std::vector<double> serial(512);
+    for (std::size_t n = 0; n < serial.size(); ++n)
+        serial[n] = log10Factorial(static_cast<std::int64_t>(n));
+    std::atomic<int> mismatches{0};
+    ThreadPool pool(4);
+    pool.parallelFor(8, [&](std::size_t) {
+        for (std::size_t n = 0; n < serial.size(); ++n)
+            if (log10Factorial(static_cast<std::int64_t>(n)) != serial[n])
+                ++mismatches;
+    });
+    EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(MathUtil, Log10Binomial)

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <set>
 
+#include "src/api/results.hh"
 #include "src/arch/presets.hh"
 #include "src/cost/cost_stack.hh"
 #include "src/dnn/zoo.hh"
@@ -18,6 +21,7 @@
 #include "src/dse/dse.hh"
 #include "src/dse/joint_reuse.hh"
 #include "src/dse/records.hh"
+#include "src/mapping/engine.hh"
 
 namespace gemini::dse {
 namespace {
@@ -388,6 +392,155 @@ TEST_F(SchedulerTest, CsvExportCarriesRungColumns)
     EXPECT_NE(stats_text.find("polish"), std::string::npos);
     EXPECT_TRUE(r.writeCsv("/tmp/gemini_dse_sched_records.csv",
                            "/tmp/gemini_dse_sched_rungs.csv"));
+}
+
+// ------------------------------------------------ bound-first screen ---
+
+/**
+ * A spec whose screen prunes: wider NoC/GLB/DRAM axes spread the lower
+ * bounds far enough apart that many candidates cannot beat the best
+ * stripe objective.
+ */
+class BoundFirstScreenTest : public SchedulerTest
+{
+  protected:
+    BoundFirstScreenTest()
+    {
+        options_.axes.nocGBps = {8, 16, 32};
+        options_.axes.glbKiB = {128, 256, 512};
+        options_.axes.dramGBpsPerTops = {0.5, 2.0};
+        options_.mapping.analyticSeed = true;
+    }
+
+    /** The result as canonical JSON, minus the timing fields. */
+    static std::string
+    untimedJson(DseResult r)
+    {
+        for (DseRecord &rec : r.records)
+            rec.evalSeconds = 0.0;
+        for (DseRungStats &rs : r.stats.rungs)
+            rs.cpuSeconds = 0.0;
+        return api::dseResultToJson(r).canonical();
+    }
+
+    /** Stripe-only objectives of every candidate, evaluated directly. */
+    std::vector<double>
+    stripeObjectives() const
+    {
+        DseOptions flat = options_;
+        flat.schedule.enabled = false;
+        flat.mapping.runSa = false;
+        const DseResult r = runDse(flat);
+        std::vector<double> out;
+        for (const DseRecord &rec : r.records)
+            out.push_back(rec.feasible ? rec.objective
+                                       : std::numeric_limits<double>::
+                                             infinity());
+        return out;
+    }
+};
+
+TEST_F(BoundFirstScreenTest, PrunedRecordsAreCanonicalAtAnyThreadCount)
+{
+    options_.threads = 1;
+    const DseResult serial = runDse(options_);
+    ASSERT_GT(serial.stats.rungs[0].prunedBound, 0)
+        << "the spec must prune for this test to mean anything";
+    ASSERT_GT(serial.stats.rungs[0].advanced, 0);
+    const std::string ref = untimedJson(serial);
+    for (int threads : {2, 4}) {
+        options_.threads = threads;
+        EXPECT_EQ(untimedJson(runDse(options_)), ref)
+            << "threads = " << threads;
+    }
+
+    for (const DseRecord &rec : serial.records) {
+        if (!rec.prunedByBound)
+            continue;
+        // The shape of a record cancelled before evaluation...
+        EXPECT_FALSE(rec.feasible);
+        EXPECT_TRUE(std::isinf(rec.objective));
+        EXPECT_TRUE(rec.perModel.empty());
+        EXPECT_FALSE(rec.seededAnalytic);
+        EXPECT_EQ(rec.delayGeo, 0.0);
+        EXPECT_EQ(rec.energyGeo, 0.0);
+        EXPECT_EQ(rec.rungReached, 0);
+        EXPECT_EQ(rec.saIters, 0);
+        // ...that keeps its MC and the bound that pruned it.
+        EXPECT_GT(rec.mc.total(), 0.0);
+        EXPECT_TRUE(std::isfinite(rec.objectiveLowerBound));
+        EXPECT_GT(rec.objectiveLowerBound,
+                  serial.stats.rungs[0].bestObjective);
+    }
+}
+
+TEST_F(BoundFirstScreenTest, SurvivorsAreExactlyTheCandidatesTheBoundAdmits)
+{
+    const std::vector<double> stripe = stripeObjectives();
+    const double best = *std::min_element(stripe.begin(), stripe.end());
+    ASSERT_TRUE(std::isfinite(best));
+
+    const DseResult r = runDse(options_);
+    ASSERT_EQ(r.records.size(), stripe.size());
+    // The screen's best is the independent stripe-only minimum: the
+    // candidate achieving it is never skipped.
+    EXPECT_EQ(r.stats.rungs[0].bestObjective, best);
+    std::set<std::size_t> survivors, admitted;
+    for (std::size_t i = 0; i < r.records.size(); ++i) {
+        if (r.records[i].rungReached >= 1)
+            survivors.insert(i);
+        if (r.records[i].objectiveLowerBound <= best)
+            admitted.insert(i);
+        EXPECT_EQ(r.records[i].prunedByBound,
+                  r.records[i].objectiveLowerBound > best)
+            << "candidate " << i;
+    }
+    EXPECT_EQ(survivors, admitted);
+    EXPECT_LT(survivors.size(), r.records.size());
+    EXPECT_EQ(static_cast<int>(survivors.size()), r.stats.rungs[1].entered);
+}
+
+TEST_F(BoundFirstScreenTest, WorkerModeMatchesInProcessWhenPruning)
+{
+    // Workers do not report the analytic-seed provenance flag, so compare
+    // without the seed: every other field must match bit for bit.
+    options_.mapping.analyticSeed = false;
+    const DseResult ref = runDse(options_);
+    ASSERT_GT(ref.stats.rungs[0].prunedBound, 0);
+
+    std::atomic<int> screened{0};
+    DseOptions o = options_;
+    o.execution = ExecutionMode::Workers;
+    o.remoteEval = [this, &screened](const RemoteEvalRequest &rq) {
+        // Mirrors the worker's evaluation semantics in process.
+        RemoteEvalOutcome out;
+        mapping::MappingOptions mo = options_.mapping;
+        mo.saThreads = 1;
+        mo.runSa = rq.rung >= 1;
+        if (rq.rung == 0)
+            ++screened;
+        mo.sa.iterations = rq.iters;
+        mo.sa.chains = rq.chains;
+        mo.sa.seed = rq.seed;
+        for (std::size_t m = 0; m < options_.models.size(); ++m) {
+            mapping::MappingEngine engine(*options_.models[m], *rq.arch, mo);
+            mapping::MappingResult res =
+                rq.rung >= 1 ? engine.runFrom((*rq.warmStarts)[m])
+                             : engine.run();
+            out.mappings.push_back(std::move(res.mapping));
+            out.perModel.push_back(res.total);
+        }
+        return out;
+    };
+    // One thread makes the skip set deterministic: screen tasks run in
+    // bound order, each against the incumbent its predecessors left.
+    o.threads = 1;
+    const DseResult got = runDse(o);
+    EXPECT_EQ(untimedJson(got), untimedJson(ref));
+    // Every survivor was screened by a worker; skipped candidates never
+    // reached one.
+    EXPECT_GE(screened.load(), got.stats.rungs[0].advanced);
+    EXPECT_LT(screened.load(), static_cast<int>(got.records.size()));
 }
 
 // ------------------------------------------------------------- reuse ---
