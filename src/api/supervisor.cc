@@ -296,6 +296,8 @@ WorkerSupervisor::attemptOnWorker(Slot &slot,
         outcome.poisonReason.clear();
         outcome.perModel = std::move(resp.perModel);
         outcome.mappings = std::move(resp.mappings);
+        outcome.seededAnalytic = resp.seededAnalytic;
+        outcome.saIters = resp.saIters;
         return true;
     }
 }

@@ -179,6 +179,8 @@ WorkerResponse::toText() const
         for (const mapping::LpMapping &m : mappings)
             maps.push(lpMappingToJson(m));
         v.set("mappings", std::move(maps));
+        v.set("seeded_analytic", seededAnalytic);
+        v.set("sa_iters", saIters);
     }
     return v.dump();
 }
@@ -214,6 +216,8 @@ WorkerResponse::fromText(const std::string &text, WorkerResponse &out,
     }
     r.getInt("seq", resp.seq);
     r.getString("message", resp.message);
+    r.getBool("seeded_analytic", resp.seededAnalytic);
+    r.getInt("sa_iters", resp.saIters);
     if (const Value *per_model = r.child("per_model")) {
         if (!per_model->isArray()) {
             if (error && error->empty())
@@ -257,9 +261,11 @@ WorkerResponse::fromText(const std::string &text, WorkerResponse &out,
 namespace {
 
 /**
- * Evaluate one candidate exactly as the in-process scheduler would (see
- * MultiFidelityScheduler::runScreen/runSaRung and the flat driver):
+ * Evaluate one candidate exactly as the in-process DSE driver would (see
+ * MultiFidelityScheduler::runScreen/runSaRung/runExhaustive in dse.cc):
  * throwaway engines per model, serial chains, the request's SA budget.
+ * The result carries the analytic-seed flag and the executed SA
+ * iterations, so worker records match in-process records bit for bit.
  */
 WorkerResponse
 evalCandidate(const ExperimentSpec &spec, const ResolvedExperiment &resolved,
@@ -285,7 +291,7 @@ evalCandidate(const ExperimentSpec &spec, const ResolvedExperiment &resolved,
         mo.sa.chains = rq.chains;
         mo.sa.seed = rq.seed;
     }
-    // rung -1 (flat): the spec's full budget, options as-is.
+    // rung -1 (exhaustive): the spec's full budget, options as-is.
 
     WorkerResponse resp;
     resp.kind = WorkerResponse::Kind::Result;
@@ -302,6 +308,9 @@ evalCandidate(const ExperimentSpec &spec, const ResolvedExperiment &resolved,
             warm ? engine.runFrom(rq.warmStarts[m]) : engine.run();
         resp.mappings.push_back(std::move(res.mapping));
         resp.perModel.push_back(res.total);
+        resp.seededAnalytic = resp.seededAnalytic || res.seededAnalytic;
+        if (mo.runSa)
+            resp.saIters += res.saStats.itersRun;
     }
     return resp;
 }

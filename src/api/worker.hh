@@ -96,6 +96,8 @@ struct WorkerResponse
     // Result only (mirrors dse::RemoteEvalOutcome)
     std::vector<eval::EvalBreakdown> perModel;
     std::vector<mapping::LpMapping> mappings;
+    bool seededAnalytic = false;
+    int saIters = 0;
 
     std::string toText() const;
     static bool fromText(const std::string &text, WorkerResponse &out,

@@ -170,21 +170,6 @@ class FlatWordTable
         return insertAt(slot, key, std::move(value));
     }
 
-    /** Visit every live entry as (key words, value), in slot (probe)
-     * order — NOT insertion order; callers must be order-insensitive. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        const std::size_t n = gens_.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            if (gens_[i] != gen_)
-                continue;
-            fn(Words{arena_.data() + keyOff_[i], keyLen_[i]},
-               values_[valIdx_[i]]);
-        }
-    }
-
     /** Buffer-growth events since construction (0 in steady state). */
     std::uint64_t allocEvents() const { return allocEvents_; }
 

@@ -7,7 +7,6 @@
 #include <condition_variable>
 #include <exception>
 #include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -126,15 +125,18 @@ markUnevaluated(DseRecord &rec)
 }
 
 /**
- * Fill a record's objective lower bound plus its explanatory components.
- * schedule.analyticBound selects the per-layer segmentation-DP bound
- * (maxGroupLayers caps the DP, mirroring the partitioner) or the legacy
- * whole-model roofline (maxGroupLayers <= 0 fallback inside the stack).
+ * Fill the MC of a record's architecture, its objective lower bound and
+ * the bound's explanatory components. schedule.analyticBound selects the
+ * per-layer segmentation-DP bound (maxGroupLayers caps the DP, mirroring
+ * the partitioner) or the legacy whole-model roofline (maxGroupLayers <= 0
+ * fallback inside the stack).
  */
 void
-fillLowerBound(DseRecord &rec, const cost::CostStack &stack,
-               const DseOptions &options)
+fillMcAndBound(DseRecord &rec, const DseOptions &options)
 {
+    const cost::CostStack stack(rec.arch, options.mapping.tech,
+                                options.costParams);
+    rec.mc = stack.mcBreakdown();
     cost::BoundComponents comps;
     const int max_group_layers = options.schedule.analyticBound
                                      ? options.mapping.maxGroupLayers
@@ -165,128 +167,10 @@ sortByKeyThenIndex(std::vector<std::size_t> &indices, KeyFn key)
 }
 
 /**
- * Run fn(i) for i in [0, count). With no external pool this is a plain
- * owned-pool parallelFor; with one (the API service's shared pool) the
- * work is chunked by an atomic cursor over `external->threadCount()`
- * tasks and completion is tracked by a local latch, because waitIdle()
- * on a shared pool would also wait for other jobs' tasks.
- */
-void
-runOnPool(ThreadPool *external, std::size_t own_threads, std::size_t count,
-          const std::function<void(std::size_t)> &fn)
-{
-    if (!external) {
-        ThreadPool pool(own_threads);
-        pool.parallelFor(count, fn); // rethrows the first fn() exception
-        return;
-    }
-    std::mutex mu;
-    std::condition_variable done_cv;
-    // The loop bound must be a snapshot: workers decrement `pending`
-    // concurrently, and reading it as the bound would race (and could
-    // submit fewer tasks than the latch expects).
-    const std::size_t tasks =
-        std::max<std::size_t>(1, external->threadCount());
-    std::size_t pending = tasks;
-    std::exception_ptr error;
-    std::atomic<std::size_t> cursor{0};
-    std::atomic<bool> aborted{false};
-    for (std::size_t w = 0; w < tasks; ++w) {
-        external->submit([&] {
-            while (!aborted.load(std::memory_order_relaxed)) {
-                const std::size_t i = cursor.fetch_add(1);
-                if (i >= count)
-                    break;
-                try {
-                    fn(i);
-                } catch (...) {
-                    // First failure wins; remaining indices are skipped
-                    // (every chunk task sees `aborted`) and the latch
-                    // still drains, so the waiter below never deadlocks.
-                    aborted.store(true, std::memory_order_relaxed);
-                    std::lock_guard elock(mu);
-                    if (!error)
-                        error = std::current_exception();
-                }
-            }
-            // Notify under the lock so the waiter cannot observe
-            // pending == 0 and destroy the latch before notify runs.
-            std::lock_guard lock(mu);
-            if (--pending == 0)
-                done_cv.notify_all();
-        });
-    }
-    std::unique_lock lock(mu);
-    done_cv.wait(lock, [&] { return pending == 0; });
-    if (error)
-        std::rethrow_exception(error);
-}
-
-/**
- * Shared read-only intra-core memos: candidates that agree on
- * (macsPerCore, glbKiB) — tech and frequency are fixed within one DSE run
- * — search identical tile spaces, so the screen rung pools their Explorer
- * caches. Only candidates the screen actually partitions warm the pool;
- * candidates skipped by the bound-first screen never touch it. Entries
- * are exact, which keeps results independent of sharing (and therefore
- * of thread scheduling and of which candidates were skipped). One
- * pool-wide mutex guards both directions; on many-core hosts with huge
- * memos the seed-side full-map copy can contend — per-key locks or an
- * immutable snapshot handoff are the known next steps if the screen rung
- * ever stops scaling.
- */
-class ExplorerPool
-{
-  public:
-    explicit ExplorerPool(const arch::TechParams &tech) : tech_(tech) {}
-
-    /**
-     * Pre-warm `engine`'s explorer from the pool.
-     * @return the explorer's entry count after seeding (pass to collect).
-     */
-    std::size_t
-    seed(mapping::MappingEngine &engine)
-    {
-        std::lock_guard lock(mu_);
-        engine.explorer().absorb(sharedOf(engine.arch()));
-        return engine.explorer().cacheSize();
-    }
-
-    /**
-     * Merge `engine`'s explorer memo back into the pool. Skipped when the
-     * engine discovered nothing beyond its seed, so fully-warmed pools
-     * stop paying the merge (the memo only ever grows).
-     */
-    void
-    collect(mapping::MappingEngine &engine, std::size_t seeded_size)
-    {
-        if (engine.explorer().cacheSize() == seeded_size)
-            return;
-        std::lock_guard lock(mu_);
-        sharedOf(engine.arch()).absorb(engine.explorer());
-    }
-
-  private:
-    intracore::Explorer &
-    sharedOf(const arch::ArchConfig &cfg)
-    {
-        const std::pair<int, int> key{cfg.macsPerCore, cfg.glbKiB};
-        auto it = pool_.find(key);
-        if (it == pool_.end())
-            it = pool_
-                     .try_emplace(key, cfg.macsPerCore, cfg.glbBytes(),
-                                  cfg.freqGHz, tech_)
-                     .first;
-        return it->second;
-    }
-
-    arch::TechParams tech_;
-    std::mutex mu_;
-    std::map<std::pair<int, int>, intracore::Explorer> pool_;
-};
-
-/**
- * The multi-fidelity DSE scheduler (screen -> race -> polish). All rungs
+ * The DSE driver. A scheduled run is multi-fidelity (screen -> race ->
+ * polish); every other run takes the exhaustive shape: one cohort named
+ * "exhaustive", which is also the final rung, whose task evaluates a
+ * candidate at the full budget exactly like evaluateCandidate. All rungs
  * stream over one shared thread pool: a candidate's next-rung task is
  * submitted the moment its cohort's keep-decision resolves, so the pool
  * never drains between rungs. Keep-decisions are computed by whichever
@@ -307,16 +191,17 @@ class MultiFidelityScheduler
                            std::vector<arch::ArchConfig> candidates,
                            std::size_t threads)
         : opts_(options), candidates_(std::move(candidates)),
-          explorers_(options.mapping.tech),
+          exhaustive_(!(options.schedule.enabled && options.mapping.runSa)),
           remote_(options.execution == ExecutionMode::Workers &&
                   options.remoteEval),
           ownedPool_(options.pool ? nullptr
                                   : std::make_unique<ThreadPool>(threads)),
           pool_(options.pool ? *options.pool : *ownedPool_)
     {
-        // Rung tasks each occupy one pool worker; chains run serially
-        // inside them so candidate- and chain-level parallelism never
-        // oversubscribe the machine.
+        // Candidate tasks each occupy one pool worker; chains run
+        // serially inside them so candidate- and chain-level parallelism
+        // never oversubscribe the machine (or stack a private chain pool
+        // on a shared one).
         opts_.mapping.saThreads = 1;
         // Thread the run-level stop token into the mapping layer so a
         // cancelled polish run also stops at chain granularity.
@@ -333,7 +218,7 @@ class MultiFidelityScheduler
         const int n_rungs = polishRung() + 1;
         cohorts_.assign(static_cast<std::size_t>(n_rungs), {});
         done_.assign(static_cast<std::size_t>(n_rungs), 0);
-        result_.stats.scheduled = true;
+        result_.stats.scheduled = !exhaustive_;
         result_.stats.simdLevel =
             common::simdLevelName(common::activeSimdLevel());
         result_.stats.numaNodes = pool_.numaNodeCount();
@@ -382,7 +267,9 @@ class MultiFidelityScheduler
         emit(entered);
 
         for (std::size_t i : cohorts_[static_cast<std::size_t>(start)]) {
-            if (start == 0)
+            if (exhaustive_)
+                enqueue([this, i] { runExhaustive(i); });
+            else if (start == 0)
                 enqueue([this, i] { runBound(i); });
             else
                 enqueue([this, start, i] { runSaRung(start, i); });
@@ -406,9 +293,10 @@ class MultiFidelityScheduler
         result_.stats.cancelled = opts_.stop.cancelRequested();
         result_.stats.truncated = opts_.stop.deadlineExpired();
 
-        // The winner comes from the polish cohort: only finalists carry a
-        // full-budget evaluation, so cross-fidelity objective comparisons
-        // never decide the result.
+        // The winner comes from the final cohort: only its members carry
+        // a full-budget evaluation, so cross-fidelity objective
+        // comparisons never decide the result. Ties go to the lowest
+        // index (cohorts are in index order).
         result_.bestIndex = -1;
         double best_obj = kInf;
         for (std::size_t i : cohorts_[static_cast<std::size_t>(polishRung())]) {
@@ -437,7 +325,9 @@ class MultiFidelityScheduler
     };
 
     int raceRungs() const { return std::max(0, opts_.schedule.rungs); }
-    int polishRung() const { return raceRungs() + 1; }
+
+    /** The final rung: polish, or the exhaustive shape's only rung. */
+    int polishRung() const { return exhaustive_ ? 0 : raceRungs() + 1; }
 
     void
     emit(const DseProgressEvent &event)
@@ -480,6 +370,8 @@ class MultiFidelityScheduler
     std::string
     rungName(int rung) const
     {
+        if (exhaustive_)
+            return "exhaustive";
         if (rung == 0)
             return "screen";
         if (rung == polishRung())
@@ -494,6 +386,8 @@ class MultiFidelityScheduler
     int
     rungIters(int rung) const
     {
+        if (exhaustive_)
+            return opts_.mapping.runSa ? opts_.mapping.sa.iterations : 0;
         if (rung == 0)
             return 0;
         if (rung == polishRung())
@@ -509,6 +403,8 @@ class MultiFidelityScheduler
     int
     rungChains(int rung) const
     {
+        if (exhaustive_)
+            return std::max(1, opts_.mapping.sa.chains);
         if (rung != polishRung())
             return 1;
         return std::max({1, opts_.mapping.sa.chains,
@@ -651,15 +547,10 @@ class MultiFidelityScheduler
     runBound(std::size_t i)
     {
         const auto t0 = std::chrono::steady_clock::now();
-        const arch::ArchConfig &cfg = candidates_[i];
         DseRecord &rec = result_.records[i];
-        rec.arch = cfg;
-        if (!opts_.stop.stopRequested() && !abortRequested()) {
-            const cost::CostStack stack(cfg, opts_.mapping.tech,
-                                        opts_.costParams);
-            rec.mc = stack.mcBreakdown();
-            fillLowerBound(rec, stack, opts_);
-        }
+        rec.arch = candidates_[i];
+        if (!opts_.stop.stopRequested() && !abortRequested())
+            fillMcAndBound(rec, opts_);
         std::lock_guard lock(mu_);
         const double seconds = secondsSince(t0);
         result_.stats.rungs[0].cpuSeconds += seconds;
@@ -739,20 +630,19 @@ class MultiFidelityScheduler
             }
             st.mappings = std::move(out.mappings);
             rec.perModel = std::move(out.perModel);
+            rec.seededAnalytic = out.seededAnalytic;
         } else {
             st.mappings.reserve(opts_.models.size());
             rec.perModel.reserve(opts_.models.size());
             for (const dnn::Graph *model : opts_.models) {
                 // Screen engines are throwaway: only the stripe mapping
-                // and the pooled explorer memo survive into the race
-                // rungs, so per-candidate analyzer caches never pile up
-                // across the whole (possibly huge) candidate list.
+                // survives into the race rungs, so per-candidate analyzer
+                // caches never pile up across the whole (possibly huge)
+                // candidate list.
                 mapping::MappingOptions mo = opts_.mapping;
                 mo.runSa = false;
                 mapping::MappingEngine engine(*model, cfg, mo);
-                const std::size_t seeded = explorers_.seed(engine);
                 mapping::MappingResult res = engine.run();
-                explorers_.collect(engine, seeded);
                 st.mappings.push_back(std::move(res.mapping));
                 rec.perModel.push_back(res.total);
                 rec.seededAnalytic =
@@ -764,18 +654,50 @@ class MultiFidelityScheduler
         finishTask(0, i, secondsSince(t0));
     }
 
+    /**
+     * The exhaustive shape's only task: MC, the lower bound and one
+     * full-budget evaluation per model, exactly as evaluateCandidate
+     * computes them (locally, or through the worker at rung -1).
+     */
+    void
+    runExhaustive(std::size_t i)
+    {
+        const auto t0 = std::chrono::steady_clock::now();
+        const arch::ArchConfig &cfg = candidates_[i];
+        DseRecord &rec = result_.records[i];
+        rec.arch = cfg;
+        if (opts_.stop.stopRequested() || abortRequested()) {
+            markUnevaluated(rec);
+        } else if (remote_) {
+            fillMcAndBound(rec, opts_);
+            RemoteEvalRequest rq;
+            rq.index = i;
+            rq.arch = &cfg;
+            rq.rung = -1;
+            RemoteEvalOutcome out = opts_.remoteEval(rq);
+            if (out.poisoned) {
+                markPoisoned(rec, 0, std::move(out.poisonReason));
+            } else {
+                rec.perModel = std::move(out.perModel);
+                rec.seededAnalytic = out.seededAnalytic;
+                rec.saIters = out.saIters;
+                finishRecord(rec, opts_);
+            }
+        } else {
+            rec = evaluateCandidate(cfg, opts_);
+        }
+        finishTask(0, i, secondsSince(t0));
+    }
+
     void
     ensureEngines(std::size_t i)
     {
         CandState &st = states_[i];
         if (!st.engines.empty())
             return;
-        for (const dnn::Graph *model : opts_.models) {
-            auto engine = std::make_unique<mapping::MappingEngine>(
-                *model, candidates_[i], opts_.mapping);
-            explorers_.seed(*engine); // reuse the screen-warmed tile memo
-            st.engines.push_back(std::move(engine));
-        }
+        for (const dnn::Graph *model : opts_.models)
+            st.engines.push_back(std::make_unique<mapping::MappingEngine>(
+                *model, candidates_[i], opts_.mapping));
     }
 
     void
@@ -810,10 +732,7 @@ class MultiFidelityScheduler
             }
             st.mappings = std::move(out.mappings);
             rec.perModel = std::move(out.perModel);
-            // The worker protocol does not ship SaStats back, so remote
-            // records charge the budgeted (upper-bound) iterations.
-            rec.saIters += iters * chains *
-                           static_cast<int>(opts_.models.size());
+            rec.saIters += out.saIters;
         } else {
             ensureEngines(i);
             for (std::size_t m = 0; m < opts_.models.size(); ++m) {
@@ -1005,7 +924,11 @@ class MultiFidelityScheduler
     std::vector<arch::ArchConfig> candidates_;
     DseResult result_;
     std::vector<CandState> states_;
-    ExplorerPool explorers_;
+    /**
+     * The exhaustive shape: schedule disabled, or no SA (the race and
+     * polish rungs are SA runs, so a schedule without SA is meaningless).
+     */
+    const bool exhaustive_;
     const bool remote_; ///< evaluate candidates via opts_.remoteEval
     std::unique_ptr<ThreadPool> ownedPool_; ///< null when opts_.pool set
     ThreadPool &pool_;
@@ -1047,60 +970,13 @@ DseResult::bestUnder(double alpha, double beta, double gamma) const
     return best;
 }
 
-namespace {
-
-/**
- * Flat-driver variant of evaluateCandidate that routes the per-model
- * evaluation through options.remoteEval (rung -1 = one full-budget run).
- * MC and the lower bound stay local; a poisoned outcome becomes an
- * infeasible-with-inf quarantined record, exactly like the scheduler's.
- */
-DseRecord
-evaluateCandidateRemote(const arch::ArchConfig &cfg,
-                        const DseOptions &options, std::size_t index)
-{
-    DseRecord rec;
-    rec.arch = cfg;
-    const cost::CostStack stack(cfg, options.mapping.tech,
-                                options.costParams);
-    rec.mc = stack.mcBreakdown();
-    fillLowerBound(rec, stack, options);
-
-    RemoteEvalRequest rq;
-    rq.index = index;
-    rq.arch = &cfg;
-    rq.rung = -1;
-    RemoteEvalOutcome out = options.remoteEval(rq);
-    if (out.poisoned) {
-        rec.feasible = false;
-        rec.objective = kInf;
-        rec.poisoned = true;
-        rec.poisonReason = std::move(out.poisonReason);
-        GEMINI_WARN("candidate ", rec.arch.toString(), " quarantined: ",
-                    rec.poisonReason);
-        return rec;
-    }
-    rec.perModel = std::move(out.perModel);
-    if (options.mapping.runSa)
-        rec.saIters = options.mapping.sa.iterations *
-                      std::max(1, options.mapping.sa.chains) *
-                      static_cast<int>(options.models.size());
-    finishRecord(rec, options);
-    return rec;
-}
-
-} // namespace
-
 DseRecord
 evaluateCandidate(const arch::ArchConfig &cfg, const DseOptions &options)
 {
     GEMINI_ASSERT(!options.models.empty(), "DSE needs at least one model");
     DseRecord rec;
     rec.arch = cfg;
-    const cost::CostStack stack(cfg, options.mapping.tech,
-                                options.costParams);
-    rec.mc = stack.mcBreakdown();
-    fillLowerBound(rec, stack, options);
+    fillMcAndBound(rec, options);
 
     for (const dnn::Graph *model : options.models) {
         mapping::MappingEngine engine(*model, cfg, options.mapping);
@@ -1149,106 +1025,12 @@ runDse(const DseOptions &user_options)
         candidates.swap(picked);
     }
 
-    // Shared thread budget: candidate-level parallelism times per-candidate
-    // SA-chain parallelism never exceeds the requested worker count, so
-    // multi-chain annealing inside the mapping engine cannot stack a pool
-    // on top of a fully-subscribed candidate pool.
-    const std::size_t budget =
+    const std::size_t threads =
         options.threads > 0
             ? static_cast<std::size_t>(options.threads)
             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-
-    // The race and polish rungs *are* SA runs, so a schedule without SA is
-    // meaningless — honor runSa=false with the flat (stripe-only) driver.
-    if (options.schedule.enabled && options.mapping.runSa)
-        return MultiFidelityScheduler(options, std::move(candidates),
-                                      budget)
-            .run();
-
-    DseOptions opts = options;
-    // Thread the run-level stop token into the mapping layer (checked at
-    // chain granularity there, never on the SA inner loop).
-    opts.mapping.stop = options.stop;
-    std::size_t outer = budget;
-    const int chains = opts.mapping.sa.chains;
-    if (opts.mapping.runSa && chains > 1) {
-        // saThreads == 0 means "auto": give each candidate its chains in
-        // parallel. An explicit caller value is respected either way.
-        if (opts.mapping.saThreads == 0)
-            opts.mapping.saThreads = static_cast<int>(std::min<std::size_t>(
-                static_cast<std::size_t>(chains), budget));
-        outer = std::max<std::size_t>(
-            1, budget / static_cast<std::size_t>(std::max(
-                   1, opts.mapping.saThreads)));
-    } else if (opts.mapping.saThreads == 0) {
-        opts.mapping.saThreads = 1;
-    }
-
-    DseResult result;
-    result.records.resize(candidates.size());
-
-    if (options.progress) {
-        DseProgressEvent entered;
-        entered.kind = DseProgressEvent::Kind::RungEntered;
-        entered.rung = "exhaustive";
-        entered.entered = static_cast<int>(candidates.size());
-        entered.bestObjective = kInf;
-        options.progress(entered);
-    }
-
-    const bool remote =
-        opts.execution == ExecutionMode::Workers && opts.remoteEval;
-    runOnPool(options.pool, outer, candidates.size(), [&](std::size_t i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        if (opts.stop.stopRequested()) {
-            // Cancelled before evaluation: never a winner (see the
-            // scheduler's runScreen for the same convention).
-            result.records[i].arch = candidates[i];
-            result.records[i].feasible = false;
-            result.records[i].objective = kInf;
-        } else if (remote) {
-            result.records[i] =
-                evaluateCandidateRemote(candidates[i], opts, i);
-        } else {
-            result.records[i] = evaluateCandidate(candidates[i], opts);
-        }
-        result.records[i].evalSeconds = secondsSince(t0);
-    });
-
-    result.bestIndex =
-        result.bestUnder(options.alpha, options.beta, options.gamma);
-
-    DseRungStats flat;
-    flat.name = "exhaustive";
-    flat.entered = static_cast<int>(result.records.size());
-    flat.saIters = opts.mapping.runSa
-                       ? opts.mapping.sa.iterations *
-                             std::max(1, opts.mapping.sa.chains)
-                       : 0;
-    flat.bestObjective = kInf;
-    for (const DseRecord &rec : result.records) {
-        flat.cpuSeconds += rec.evalSeconds;
-        if (rec.poisoned)
-            ++flat.poisoned;
-        if (rec.feasible && std::isfinite(rec.objective))
-            flat.bestObjective = std::min(flat.bestObjective, rec.objective);
-    }
-    result.stats.scheduled = false;
-    result.stats.simdLevel = common::simdLevelName(common::activeSimdLevel());
-    result.stats.cancelled = options.stop.cancelRequested();
-    result.stats.truncated = options.stop.deadlineExpired();
-
-    if (options.progress) {
-        DseProgressEvent finished;
-        finished.kind = DseProgressEvent::Kind::RungFinished;
-        finished.rung = "exhaustive";
-        finished.entered = flat.entered;
-        finished.bestObjective = flat.bestObjective;
-        options.progress(finished);
-    }
-
-    result.stats.rungs.push_back(std::move(flat));
-    return result;
+    return MultiFidelityScheduler(options, std::move(candidates), threads)
+        .run();
 }
 
 } // namespace gemini::dse

@@ -1,11 +1,13 @@
 /**
  * @file
- * The DSE driver (Sec. V-A): exhaustively explores architecture candidates
- * with the objective MC^alpha * E^beta * D^gamma, where E and D are the
+ * The DSE driver (Sec. V-A): evaluates architecture candidates and keeps
+ * the best objective MC^alpha * E^beta * D^gamma, where E and D are the
  * geometric means of the mapping-engine results across the input DNNs and
- * MC comes from the Monetary Cost Evaluator. Candidates are independent,
- * so the runner fans out over a thread pool (the paper uses 80-100
- * threads).
+ * MC comes from the Monetary Cost Evaluator. One scheduler runs every
+ * exploration: either the exhaustive shape (every candidate at the full
+ * budget) or the multi-fidelity schedule (DseSchedule). Candidates are
+ * independent, so the tasks fan out over a thread pool (the paper uses
+ * 80-100 threads).
  */
 
 #ifndef GEMINI_DSE_DSE_HH
@@ -67,21 +69,23 @@ using DseProgressFn = std::function<void(const DseProgressEvent &)>;
 
 /**
  * Multi-fidelity schedule of the DSE outer loop: a *screen* rung evaluates
- * every candidate with the cheap stripe-only T-Map pipeline plus a
- * monetary-cost/peak-bandwidth lower bound that hard-prunes candidates
+ * every candidate with the cheap stripe-only T-Map pipeline plus the
+ * analytic objective lower bound (exact MC times per-layer energy and
+ * delay floors, see cost::analyticLowerBound) that hard-prunes candidates
  * which cannot beat the best screened objective even with a perfect
  * mapping; a *race* of successive-halving rounds doubles the per-candidate
  * SA budget each round and keeps the top `keepFraction`, warm-starting
  * each survivor's SA from its previous rung's best mapping; a final
  * *polish* rung gives the finalists the full SaOptions budget and
- * multi-chain annealing. Disabled by default (flat exhaustive DSE).
+ * multi-chain annealing. Disabled by default (the exhaustive shape).
  */
 struct DseSchedule
 {
     /**
-     * false = the flat full-budget fan-out over every candidate. The
-     * race/polish rungs are SA runs, so the schedule is also bypassed
-     * (flat stripe-only evaluation) when MappingOptions::runSa is false.
+     * false = the exhaustive shape: one rung, "exhaustive", that evaluates
+     * every candidate at the full budget (as evaluateCandidate does). The
+     * race/polish rungs are SA runs, so a run also takes this shape
+     * (stripe-only evaluation) when MappingOptions::runSa is false.
      */
     bool enabled = false;
 
@@ -122,7 +126,7 @@ struct DseSchedule
     int polishChains = 2;
 };
 
-/** Per-rung statistics of one scheduled (or flat) DSE run. */
+/** Per-rung statistics of one DSE run (scheduled or exhaustive). */
 struct DseRungStats
 {
     std::string name;    ///< "screen", "race1".., "polish" ("exhaustive")
@@ -139,7 +143,7 @@ struct DseRungStats
 /** Whole-run statistics attached to DseResult. */
 struct DseStats
 {
-    bool scheduled = false;        ///< ran the multi-fidelity scheduler
+    bool scheduled = false; ///< ran the multi-fidelity schedule
     std::vector<DseRungStats> rungs;
 
     /**
@@ -213,7 +217,7 @@ struct RemoteEvalRequest
     /**
      * Scheduler rung: 0 = screen (stripe-only, runSa forced off),
      * 1..N = race/polish (warm-started SA with the budget below),
-     * -1 = flat driver (one full-budget evaluation per spec options).
+     * -1 = exhaustive shape (one full-budget evaluation per spec options).
      */
     int rung = -1;
     int iters = 0;          ///< per-model SA iterations (rungs >= 1)
@@ -238,6 +242,12 @@ struct RemoteEvalOutcome
 
     std::vector<eval::EvalBreakdown> perModel; ///< one per model
     std::vector<mapping::LpMapping> mappings;  ///< next warm starts
+
+    /** Some model's engine started from the analytic seed. */
+    bool seededAnalytic = false;
+
+    /** SA iterations executed, all models and chains (0 without SA). */
+    int saIters = 0;
 };
 
 /**
@@ -300,10 +310,11 @@ struct DseOptions
     double deadlineSeconds = 0.0;
 
     /**
-     * Write-ahead rung journal file (empty = no journaling; ignored by
-     * the flat driver, which has no rung structure to replay). Every
+     * Write-ahead rung journal file (empty = no journaling). Every
      * cohort keep-decision appends a checksummed record of the survivor
-     * set and warm-start mappings (see dse/journal.hh).
+     * set and warm-start mappings, and a finished run appends its whole
+     * result (see dse/journal.hh). The exhaustive shape has no
+     * keep-decision, so its journal holds only the final record.
      */
     std::string journalPath;
 
@@ -389,8 +400,8 @@ struct DseRecord
 
     /**
      * Deepest rung this candidate was evaluated at: 0 = screen,
-     * 1..rungs = race rounds, rungs+1 = polish. -1 = flat driver (one
-     * full-budget evaluation).
+     * 1..rungs = race rounds, rungs+1 = polish. -1 = exhaustive shape
+     * (one full-budget evaluation).
      */
     int rungReached = -1;
 

@@ -71,22 +71,6 @@ Explorer::evaluate(const Tile &tile)
     return cache_.insertAt(slot, key, cost);
 }
 
-void
-Explorer::absorb(const Explorer &other)
-{
-    GEMINI_ASSERT(macsPerCore_ == other.macsPerCore_ &&
-                      glbBytes_ == other.glbBytes_ &&
-                      freqGhz_ == other.freqGhz_,
-                  "cannot absorb a memo from a different core config");
-    other.cache_.forEach(
-        [this](common::FlatWordTable<CoreCost>::Words key,
-               const CoreCost &cost) {
-            std::size_t slot = 0;
-            if (cache_.find(key, slot) == nullptr)
-                cache_.insertAt(slot, key, cost);
-        });
-}
-
 CoreCost
 Explorer::evalVectorTile(const Tile &tile) const
 {

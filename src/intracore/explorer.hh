@@ -65,15 +65,6 @@ class Explorer
     /** Evaluate (and memoize) the best scheme for a tile. */
     const CoreCost &evaluate(const Tile &tile);
 
-    /**
-     * Merge another explorer's memo into this one (entries already present
-     * are kept; the memo is exact, so both copies hold identical values).
-     * Both explorers must describe the same core configuration — the DSE
-     * scheduler uses this to share one warm memo across all candidates
-     * that agree on (macsPerCore, glbKiB, freq, tech).
-     */
-    void absorb(const Explorer &other);
-
     /** Seconds for `cycles` at this core's frequency. */
     double
     seconds(double cycles) const
@@ -124,7 +115,7 @@ class Explorer
     /**
      * Memoized tile costs on the shared open-addressing flat table
      * (growable: the memo is unbounded by design — the SA loop re-asks
-     * the same tile shapes constantly and absorb() merges warm memos).
+     * the same tile shapes constantly).
      */
     common::FlatWordTable<CoreCost> cache_;
     std::uint64_t hits_ = 0;

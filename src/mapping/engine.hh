@@ -43,11 +43,9 @@ struct MappingOptions
     SaOptions sa;
 
     /**
-     * Worker threads for SA chains (sa.chains). 0 = auto: serial here,
-     * but the DSE driver may divide its global thread budget between
-     * candidate-level and chain-level parallelism (so the two levels
-     * never oversubscribe the machine). 1 forces serial chains even
-     * under the DSE; >= 2 runs chains over a pool of that size.
+     * Worker threads for SA chains (sa.chains). 0 or 1 = serial chains;
+     * >= 2 runs chains over a pool of that size. The DSE driver pins 1:
+     * its candidate tasks already fill the thread budget.
      */
     int saThreads = 0;
 
@@ -151,7 +149,6 @@ class MappingEngine
     const eval::EnergyModel &energyModel() const { return costs_.energy(); }
     const arch::ArchConfig &arch() const { return arch_; }
     const MappingOptions &options() const { return options_; }
-    intracore::Explorer &explorer() { return explorer_; }
 
     /**
      * Mutable access to the run knobs that are safe to retune between

@@ -10,11 +10,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <set>
 
 #include "src/api/results.hh"
 #include "src/arch/presets.hh"
+#include "src/common/thread_pool.hh"
 #include "src/cost/cost_stack.hh"
 #include "src/dnn/zoo.hh"
 #include "src/dse/candidates.hh"
@@ -197,6 +199,138 @@ TEST_F(DseRunTest, RecordsCsvExport)
     EXPECT_NE(text.find("best"), std::string::npos);
     const std::string path = "/tmp/gemini_dse_records_test.csv";
     EXPECT_TRUE(writeRecordsCsv(r, path));
+}
+
+// ------------------------------------------------- exhaustive shape ---
+
+/**
+ * The exhaustive shape (schedule disabled) must reproduce evaluateCandidate
+ * on every candidate, bit for bit, on any pool.
+ */
+class ExhaustiveShapeTest : public DseRunTest
+{
+  protected:
+    ExhaustiveShapeTest()
+    {
+        options_.mapping.analyticSeed = true;
+        options_.mapping.sa.chains = 2;
+        options_.mapping.sa.plateauWindow = 12;
+    }
+
+    /** One record as canonical JSON, minus its timing field. */
+    static std::string
+    recordJson(DseRecord rec)
+    {
+        rec.evalSeconds = 0.0;
+        DseResult r;
+        r.records.push_back(std::move(rec));
+        return api::dseResultToJson(r).canonical();
+    }
+
+    void
+    expectMatchesEvaluateCandidate(const DseOptions &o)
+    {
+        const std::vector<arch::ArchConfig> cands =
+            enumerateCandidates(o.axes);
+        std::vector<std::string> events;
+        DseOptions run = o;
+        run.progress = [&events](const DseProgressEvent &e) {
+            events.push_back(
+                std::string(e.kind == DseProgressEvent::Kind::RungEntered
+                                ? "enter:"
+                                : "finish:") +
+                e.rung + ":" + std::to_string(e.entered) + ":" +
+                std::to_string(e.bestObjective));
+        };
+        const DseResult r = runDse(run);
+        ASSERT_EQ(r.records.size(), cands.size());
+
+        double best = std::numeric_limits<double>::infinity();
+        int best_index = -1;
+        bool cut_short = false;
+        for (std::size_t i = 0; i < cands.size(); ++i) {
+            const DseRecord want = evaluateCandidate(cands[i], o);
+            const DseRecord &got = r.records[i];
+            EXPECT_EQ(got.objective, want.objective) << "candidate " << i;
+            EXPECT_EQ(got.saIters, want.saIters) << "candidate " << i;
+            EXPECT_EQ(got.seededAnalytic, want.seededAnalytic);
+            EXPECT_EQ(got.rungReached, -1);
+            ASSERT_EQ(got.perModel.size(), want.perModel.size());
+            for (std::size_t m = 0; m < want.perModel.size(); ++m)
+                EXPECT_EQ(
+                    api::evalBreakdownToJson(got.perModel[m]).canonical(),
+                    api::evalBreakdownToJson(want.perModel[m]).canonical());
+            EXPECT_EQ(recordJson(got), recordJson(want)) << "candidate " << i;
+            if (want.feasible && want.objective < best) {
+                best = want.objective;
+                best_index = static_cast<int>(i);
+            }
+            cut_short = cut_short ||
+                        want.saIters < o.mapping.sa.iterations *
+                                           o.mapping.sa.chains;
+        }
+        EXPECT_TRUE(cut_short) << "the plateau window must cut some chain";
+        EXPECT_EQ(r.bestIndex, best_index);
+
+        // The single-rung ledger.
+        EXPECT_FALSE(r.stats.scheduled);
+        ASSERT_EQ(r.stats.rungs.size(), 1u);
+        const DseRungStats &rs = r.stats.rungs[0];
+        EXPECT_EQ(rs.name, "exhaustive");
+        EXPECT_EQ(rs.entered, static_cast<int>(cands.size()));
+        EXPECT_EQ(rs.advanced, 0);
+        EXPECT_EQ(rs.prunedBound + rs.prunedRank + rs.poisoned, 0);
+        EXPECT_EQ(rs.saIters,
+                  o.mapping.sa.iterations * o.mapping.sa.chains);
+        EXPECT_EQ(rs.bestObjective, best);
+
+        const std::string n = std::to_string(cands.size());
+        const std::vector<std::string> want_events = {
+            "enter:exhaustive:" + n + ":" +
+                std::to_string(std::numeric_limits<double>::infinity()),
+            "finish:exhaustive:" + n + ":" + std::to_string(best)};
+        EXPECT_EQ(events, want_events);
+    }
+};
+
+TEST_F(ExhaustiveShapeTest, RecordsEqualEvaluateCandidateOnAnyPool)
+{
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads = " + std::to_string(threads));
+        options_.threads = threads;
+        expectMatchesEvaluateCandidate(options_);
+    }
+    // The API service's path: candidate tasks on a caller-owned pool.
+    SCOPED_TRACE("external pool");
+    ThreadPool pool(3);
+    options_.pool = &pool;
+    expectMatchesEvaluateCandidate(options_);
+}
+
+TEST_F(ExhaustiveShapeTest, JournaledRunResumesFromItsFinalRecord)
+{
+    // The exhaustive shape has no keep-decision to journal, only the
+    // final record; resuming from it replays the whole result.
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         "gemini_dse_exhaustive_journal.jsonl")
+            .string();
+    options_.journalPath = path;
+    options_.journalTag = 7;
+    const DseResult ref = runDse(options_);
+    ASSERT_EQ(ref.stats.resumedRung, -1);
+
+    options_.resume = true;
+    options_.progress = [](const DseProgressEvent &) {
+        ADD_FAILURE() << "a replayed run evaluates nothing";
+    };
+    const DseResult got = runDse(options_);
+    std::filesystem::remove(path);
+    EXPECT_EQ(got.stats.resumedRung, 0);
+    EXPECT_EQ(got.bestIndex, ref.bestIndex);
+    ASSERT_EQ(got.records.size(), ref.records.size());
+    for (std::size_t i = 0; i < ref.records.size(); ++i)
+        EXPECT_EQ(recordJson(got.records[i]), recordJson(ref.records[i]));
 }
 
 // --------------------------------------------------------- scheduler ---
@@ -410,6 +544,44 @@ class BoundFirstScreenTest : public SchedulerTest
         options_.axes.glbKiB = {128, 256, 512};
         options_.axes.dramGBpsPerTops = {0.5, 2.0};
         options_.mapping.analyticSeed = true;
+        options_.mapping.sa.plateauWindow = 12;
+    }
+
+    /**
+     * A remote evaluator that mirrors the worker's evaluation semantics
+     * (src/api/worker.cc) in process, counting screen requests.
+     */
+    RemoteEvaluator
+    workerMirror(std::atomic<int> *screened) const
+    {
+        return [this, screened](const RemoteEvalRequest &rq) {
+            RemoteEvalOutcome out;
+            mapping::MappingOptions mo = options_.mapping;
+            mo.saThreads = 1;
+            if (rq.rung == 0) {
+                mo.runSa = false;
+                if (screened)
+                    ++*screened;
+            } else if (rq.rung >= 1) {
+                mo.runSa = true;
+                mo.sa.iterations = rq.iters;
+                mo.sa.chains = rq.chains;
+                mo.sa.seed = rq.seed;
+            }
+            for (std::size_t m = 0; m < options_.models.size(); ++m) {
+                mapping::MappingEngine engine(*options_.models[m], *rq.arch,
+                                              mo);
+                mapping::MappingResult res =
+                    rq.rung >= 1 ? engine.runFrom((*rq.warmStarts)[m])
+                                 : engine.run();
+                out.mappings.push_back(std::move(res.mapping));
+                out.perModel.push_back(res.total);
+                out.seededAnalytic = out.seededAnalytic || res.seededAnalytic;
+                if (mo.runSa)
+                    out.saIters += res.saStats.itersRun;
+            }
+            return out;
+        };
     }
 
     /** The result as canonical JSON, minus the timing fields. */
@@ -502,36 +674,13 @@ TEST_F(BoundFirstScreenTest, SurvivorsAreExactlyTheCandidatesTheBoundAdmits)
 
 TEST_F(BoundFirstScreenTest, WorkerModeMatchesInProcessWhenPruning)
 {
-    // Workers do not report the analytic-seed provenance flag, so compare
-    // without the seed: every other field must match bit for bit.
-    options_.mapping.analyticSeed = false;
     const DseResult ref = runDse(options_);
     ASSERT_GT(ref.stats.rungs[0].prunedBound, 0);
 
     std::atomic<int> screened{0};
     DseOptions o = options_;
     o.execution = ExecutionMode::Workers;
-    o.remoteEval = [this, &screened](const RemoteEvalRequest &rq) {
-        // Mirrors the worker's evaluation semantics in process.
-        RemoteEvalOutcome out;
-        mapping::MappingOptions mo = options_.mapping;
-        mo.saThreads = 1;
-        mo.runSa = rq.rung >= 1;
-        if (rq.rung == 0)
-            ++screened;
-        mo.sa.iterations = rq.iters;
-        mo.sa.chains = rq.chains;
-        mo.sa.seed = rq.seed;
-        for (std::size_t m = 0; m < options_.models.size(); ++m) {
-            mapping::MappingEngine engine(*options_.models[m], *rq.arch, mo);
-            mapping::MappingResult res =
-                rq.rung >= 1 ? engine.runFrom((*rq.warmStarts)[m])
-                             : engine.run();
-            out.mappings.push_back(std::move(res.mapping));
-            out.perModel.push_back(res.total);
-        }
-        return out;
-    };
+    o.remoteEval = workerMirror(&screened);
     // One thread makes the skip set deterministic: screen tasks run in
     // bound order, each against the incumbent its predecessors left.
     o.threads = 1;
@@ -541,6 +690,18 @@ TEST_F(BoundFirstScreenTest, WorkerModeMatchesInProcessWhenPruning)
     // reached one.
     EXPECT_GE(screened.load(), got.stats.rungs[0].advanced);
     EXPECT_LT(screened.load(), static_cast<int>(got.records.size()));
+}
+
+TEST_F(BoundFirstScreenTest, WorkerModeMatchesInProcessInExhaustiveShape)
+{
+    options_.schedule.enabled = false;
+    const DseResult ref = runDse(options_);
+    ASSERT_FALSE(ref.stats.scheduled);
+
+    DseOptions o = options_;
+    o.execution = ExecutionMode::Workers;
+    o.remoteEval = workerMirror(nullptr);
+    EXPECT_EQ(untimedJson(runDse(o)), untimedJson(ref));
 }
 
 // ------------------------------------------------------------- reuse ---

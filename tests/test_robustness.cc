@@ -1179,6 +1179,9 @@ class RemoteEvalTest : public CrashResumeTest
                                  : engine.run();
                 out.mappings.push_back(std::move(res.mapping));
                 out.perModel.push_back(res.total);
+                out.seededAnalytic = out.seededAnalytic || res.seededAnalytic;
+                if (mo.runSa)
+                    out.saIters += res.saStats.itersRun;
             }
             return out;
         };
