@@ -47,8 +47,8 @@ collectTraffic(mapping::MappingEngine &engine,
  * set by the FD attributes, not by core placement).
  */
 void
-stats(const noc::NocModel &noc, const noc::TrafficMap &map, double &total,
-      double &d2d_mid, double &d2d_io, double &max_link_s)
+stats(const noc::InterconnectModel &noc, const noc::TrafficMap &map,
+      double &total, double &d2d_mid, double &d2d_io, double &max_link_s)
 {
     total = 0.0;
     d2d_mid = 0.0;
@@ -81,7 +81,7 @@ shade(double v, double vmax)
 
 /** ASCII heatmap: horizontal then vertical link pressure per cell edge. */
 void
-printAscii(const noc::NocModel &noc, const noc::TrafficMap &map)
+printAscii(const noc::InterconnectModel &noc, const noc::TrafficMap &map)
 {
     const auto &cfg = noc.config();
     double vmax = 0.0;
@@ -129,7 +129,7 @@ printAscii(const noc::NocModel &noc, const noc::TrafficMap &map)
 }
 
 void
-dumpCsv(const noc::NocModel &noc, const noc::TrafficMap &map,
+dumpCsv(const noc::InterconnectModel &noc, const noc::TrafficMap &map,
         const std::string &path)
 {
     CsvTable csv({"from", "to", "bytes", "kind"});

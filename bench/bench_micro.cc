@@ -17,7 +17,6 @@
 
 #include "src/arch/presets.hh"
 #include "src/common/rng.hh"
-#include "src/common/simd.hh"
 #include "src/cost/mc_evaluator.hh"
 #include "src/dnn/zoo.hh"
 #include "src/cost/cost_stack.hh"
@@ -72,7 +71,7 @@ BM_AnalyzeGroup(benchmark::State &state)
 {
     const dnn::Graph g = dnn::zoo::tinyTransformer(64, 128, 4, 1);
     const arch::ArchConfig a = arch::gArch72();
-    noc::NocModel noc(a);
+    noc::InterconnectModel noc(a);
     intracore::Explorer ex(a.macsPerCore, a.glbBytes(), a.freqGHz);
     mapping::Analyzer an(g, a, noc, ex);
     std::vector<LayerId> layers;
@@ -104,7 +103,7 @@ BM_SaIteration(benchmark::State &state)
         mapping::SaOptions so;
         so.iterations = 64;
         state.ResumeTiming();
-        noc::NocModel noc(a);
+        noc::InterconnectModel noc(a);
         intracore::Explorer ex(a.macsPerCore, a.glbBytes(), a.freqGHz);
         cost::CostStack em(a);
         mapping::Analyzer an(g, a, noc, ex);
@@ -173,7 +172,7 @@ runSaChains(const SaWorkload &w, int chains, int iters_per_chain,
 {
     // Serial chains share one warm explorer + analyzer cache, exactly as
     // MappingEngine::runSaChains does when saThreads <= 1.
-    noc::NocModel noc(w.arch);
+    noc::InterconnectModel noc(w.arch);
     intracore::Explorer ex(w.arch.macsPerCore, w.arch.glbBytes(),
                            w.arch.freqGHz);
     cost::CostStack em(w.arch);
@@ -222,7 +221,7 @@ rateOf(std::uint64_t hits, std::uint64_t misses)
  * speedup of the incremental engine against the original implementation
  * in one binary. Only mechanical adaptations: free functions instead of
  * members, and the NoC multicast/unicast helpers inlined the way the
- * seed NocModel implemented them (hash-set dedup over std::function hop
+ * seed mesh NoC model implemented them (hash-set dedup over std::function hop
  * callbacks).
  */
 namespace seedpath {
@@ -252,8 +251,8 @@ keyOf(const dnn::Region &r, std::int64_t b0, std::int64_t b1)
 }
 
 void
-seedUnicast(const noc::NocModel &noc, noc::TrafficMap &map, noc::NodeId src,
-            noc::NodeId dst, double bytes)
+seedUnicast(const noc::InterconnectModel &noc, noc::TrafficMap &map,
+            noc::NodeId src, noc::NodeId dst, double bytes)
 {
     if (bytes <= 0.0)
         return;
@@ -263,7 +262,7 @@ seedUnicast(const noc::NocModel &noc, noc::TrafficMap &map, noc::NodeId src,
 }
 
 void
-seedMulticast(const noc::NocModel &noc, noc::TrafficMap &map,
+seedMulticast(const noc::InterconnectModel &noc, noc::TrafficMap &map,
               noc::NodeId src, const std::vector<noc::NodeId> &dsts,
               double bytes)
 {
@@ -280,7 +279,8 @@ seedMulticast(const noc::NocModel &noc, noc::TrafficMap &map,
 
 GroupAnalysis
 seedAnalyzeGroup(const dnn::Graph &graph, const arch::ArchConfig &arch,
-                 const noc::NocModel &noc, intracore::Explorer &explorer,
+                 const noc::InterconnectModel &noc,
+                 intracore::Explorer &explorer,
                  const LayerGroupMapping &group, std::int64_t batch,
                  const mapping::OfmapDramLookup &ofmap_dram_of)
 {
@@ -528,7 +528,7 @@ seedAnalyzeGroup(const dnn::Graph &graph, const arch::ArchConfig &arch,
 
 double
 seedOptimize(const dnn::Graph &graph, const arch::ArchConfig &arch,
-             const noc::NocModel &noc, intracore::Explorer &explorer,
+             const noc::InterconnectModel &noc, intracore::Explorer &explorer,
              const cost::CostStack &energy, const mapping::Analyzer &an,
              LpMapping &mapping, int iterations, std::uint64_t seed)
 {
@@ -633,7 +633,7 @@ BM_SaThroughputSeed(benchmark::State &state)
     const SaWorkload &w = saWorkload();
     double best = 0.0;
     for (auto _ : state) {
-        noc::NocModel noc(w.arch);
+        noc::InterconnectModel noc(w.arch);
         intracore::Explorer ex(w.arch.macsPerCore, w.arch.glbBytes(),
                                w.arch.freqGHz);
         cost::CostStack em(w.arch);
@@ -757,7 +757,7 @@ runLargeSa(benchmark::State &state, arch::Topology topology, bool delta,
 {
     const LargeSaWorkload &w =
         largeSaWorkload(topology, layers_per_group);
-    noc::NocModel noc(w.arch);
+    noc::InterconnectModel noc(w.arch);
     cost::CostStack em(w.arch);
     double best = 0.0;
     std::uint64_t applies = 0, rebuilds = 0, alloc_events = 0;
@@ -786,7 +786,6 @@ runLargeSa(benchmark::State &state, arch::Topology topology, bool delta,
         compiler_allocs = an.compilerAllocEvents();
     }
     state.SetItemsProcessed(state.iterations() * kLargeSaBudget);
-    state.SetLabel(common::simdLevelName(common::activeSimdLevel()));
     state.counters["best_cost"] = best;
     state.counters["groups"] =
         static_cast<double>(w.init.groups.size());
@@ -855,7 +854,7 @@ void
 BM_NocMulticast(benchmark::State &state)
 {
     const arch::ArchConfig a = arch::gArch72();
-    noc::NocModel noc(a);
+    noc::InterconnectModel noc(a);
     std::vector<noc::NodeId> dsts;
     for (CoreId c = 0; c < a.coreCount(); c += 3)
         dsts.push_back(noc.coreNode(c));

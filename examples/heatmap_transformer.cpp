@@ -30,7 +30,7 @@ dump(const std::string &path, mapping::MappingEngine &engine,
         total.addFrom(a.traffic, static_cast<double>(a.numUnits));
     }
     CsvTable csv({"from", "to", "bytes", "kind"});
-    const noc::NocModel &noc = engine.noc();
+    const noc::InterconnectModel &noc = engine.noc();
     double d2d = 0.0, onchip = 0.0;
     for (const auto &[key, bytes] : total.links()) {
         const noc::NodeId a = noc::linkFrom(key);

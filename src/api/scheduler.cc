@@ -532,7 +532,6 @@ JobScheduler::recoverInterrupted()
 void
 JobScheduler::stop(bool cancelJobs)
 {
-    std::vector<std::thread> joinable;
     {
         std::unique_lock lock(mu_);
         if (!stopping_) {
@@ -574,16 +573,26 @@ JobScheduler::stop(bool cancelJobs)
             });
             stopping_ = true;
         }
-        reapWaitersLocked(joinable);
-        // Any waiter not yet flagged done is in its epilogue (the job
-        // is finished — running_ is 0); join it too.
-        for (Waiter &w : waiters_)
-            joinable.push_back(std::move(w.thread));
-        waiters_.clear();
     }
-    for (std::thread &t : joinable)
-        if (t.joinable())
-            t.join();
+    // Any waiter not yet flagged done is in its epilogue (the job is
+    // finished — running_ is 0); join it too. A waiter that dispatched
+    // the last job registers the waiter it spawned only after re-taking
+    // mu_, which can be after the drain above returned, so join in
+    // rounds until a round finds no waiter left.
+    for (;;) {
+        std::vector<std::thread> joinable;
+        {
+            std::lock_guard lock(mu_);
+            for (Waiter &w : waiters_)
+                joinable.push_back(std::move(w.thread));
+            waiters_.clear();
+        }
+        if (joinable.empty())
+            return;
+        for (std::thread &t : joinable)
+            if (t.joinable())
+                t.join();
+    }
 }
 
 } // namespace gemini::api

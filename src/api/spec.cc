@@ -123,10 +123,24 @@ readSchedule(const Value &v, const std::string &path, dse::DseSchedule &s,
     r.getDouble("keep_fraction", s.keepFraction);
     r.getInt("base_iters", s.baseIters);
     r.getBool("lower_bound_prune", s.lowerBoundPrune);
-    r.getBool("analytic_bound", s.analyticBound);
+    // Retired knob: the segmentation-DP bound is the only screen bound.
+    // `true` (its old default) still parses, as a no-op, so older spec
+    // files keep loading; `false` asked for the removed roofline bound.
+    bool analytic_bound = true;
+    r.getBool("analytic_bound", analytic_bound);
     r.getInt("min_keep", s.minKeep);
     r.getInt("polish_chains", s.polishChains);
-    return r.finish();
+    if (!r.finish())
+        return false;
+    if (!analytic_bound) {
+        if (error && error->empty())
+            *error = path + ".analytic_bound: the roofline bound was "
+                            "removed; delete this key (the analytic bound "
+                            "is always used) or set lower_bound_prune to "
+                            "false to screen without a bound";
+        return false;
+    }
+    return true;
 }
 
 bool
@@ -345,7 +359,6 @@ scheduleToJson(const dse::DseSchedule &s)
     v.set("keep_fraction", s.keepFraction);
     v.set("base_iters", s.baseIters);
     v.set("lower_bound_prune", s.lowerBoundPrune);
-    v.set("analytic_bound", s.analyticBound);
     v.set("min_keep", static_cast<std::uint64_t>(s.minKeep));
     v.set("polish_chains", s.polishChains);
     return v;

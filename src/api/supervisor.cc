@@ -298,6 +298,7 @@ WorkerSupervisor::attemptOnWorker(Slot &slot,
         outcome.mappings = std::move(resp.mappings);
         outcome.seededAnalytic = resp.seededAnalytic;
         outcome.saIters = resp.saIters;
+        outcome.cpuSeconds = resp.cpuSeconds;
         return true;
     }
 }

@@ -12,6 +12,7 @@
 #include "src/api/json_reader.hh"
 #include "src/api/results.hh"
 #include "src/api/spec.hh"
+#include "src/common/cpu_time.hh"
 #include "src/common/fault_injection.hh"
 #include "src/common/subprocess.hh"
 #include "src/mapping/engine.hh"
@@ -181,6 +182,7 @@ WorkerResponse::toText() const
         v.set("mappings", std::move(maps));
         v.set("seeded_analytic", seededAnalytic);
         v.set("sa_iters", saIters);
+        v.set("cpu_seconds", cpuSeconds);
     }
     return v.dump();
 }
@@ -218,6 +220,7 @@ WorkerResponse::fromText(const std::string &text, WorkerResponse &out,
     r.getString("message", resp.message);
     r.getBool("seeded_analytic", resp.seededAnalytic);
     r.getInt("sa_iters", resp.saIters);
+    r.getDouble("cpu_seconds", resp.cpuSeconds);
     if (const Value *per_model = r.child("per_model")) {
         if (!per_model->isArray()) {
             if (error && error->empty())
@@ -265,7 +268,8 @@ namespace {
  * MultiFidelityScheduler::runScreen/runSaRung/runExhaustive in dse.cc):
  * throwaway engines per model, serial chains, the request's SA budget.
  * The result carries the analytic-seed flag and the executed SA
- * iterations, so worker records match in-process records bit for bit.
+ * iterations, so worker records match in-process records bit for bit,
+ * and the CPU time this thread spent on the evaluation.
  */
 WorkerResponse
 evalCandidate(const ExperimentSpec &spec, const ResolvedExperiment &resolved,
@@ -279,6 +283,7 @@ evalCandidate(const ExperimentSpec &spec, const ResolvedExperiment &resolved,
                                   std::to_string(rq.index)))
         std::_Exit(70);
 
+    const double cpu0 = common::threadCpuSeconds();
     mapping::MappingOptions mo = spec.mapping;
     // Chains run serially inside a worker (bit-identical to parallel
     // chains); candidate-level parallelism is the supervisor's pool.
@@ -312,6 +317,7 @@ evalCandidate(const ExperimentSpec &spec, const ResolvedExperiment &resolved,
         if (mo.runSa)
             resp.saIters += res.saStats.itersRun;
     }
+    resp.cpuSeconds = common::threadCpuSeconds() - cpu0;
     return resp;
 }
 

@@ -98,6 +98,7 @@ struct WorkerResponse
     std::vector<mapping::LpMapping> mappings;
     bool seededAnalytic = false;
     int saIters = 0;
+    double cpuSeconds = 0.0; ///< eval-thread CPU of the evaluation
 
     std::string toText() const;
     static bool fromText(const std::string &text, WorkerResponse &out,

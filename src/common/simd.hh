@@ -1,21 +1,9 @@
 /**
  * @file
- * Runtime SIMD dispatch policy for the evaluation kernels
- * (src/mapping/kernels.hh). The hot-path kernels ship in two always-built
- * variants — portable scalar and AVX2 — and every build selects between
- * them at runtime from cpuid, so one binary runs correctly on any x86-64
- * host (and on non-x86 the scalar variant is the only one compiled in).
- *
- * The two variants are bit-identical by construction: vector lanes are
- * only used for operations whose IEEE-754 result does not depend on
- * evaluation order or grouping (elementwise add/divide, max with the
- * exact comparison semantics of the scalar fold, integer index math).
- * The differential fuzz suite (tests/test_delta_eval.cc) runs the same
- * walks under both dispatches and asserts bit-equality end to end.
- *
- * Environment override: GEMINI_DISABLE_SIMD (set to anything but "0")
- * forces the scalar variant — the CI scalar leg and A/B debugging both
- * use it. Tests can switch in-process via forceSimdLevel().
+ * Build stamp of the evaluation kernels (src/mapping/kernels.hh). The
+ * kernels have one plain implementation with no runtime dispatch, so the
+ * stamp is constant; it is kept for tools that print it next to their
+ * measurements.
  */
 
 #ifndef GEMINI_COMMON_SIMD_HH
@@ -23,37 +11,24 @@
 
 namespace gemini::common {
 
-/** Kernel variant the dispatcher can select. */
+/** The one kernel implementation. */
 enum class SimdLevel
 {
-    Scalar, ///< portable reference implementation
-    Avx2,   ///< 4-lane double / 256-bit integer kernels
+    Scalar,
 };
 
-/** Human-readable variant name ("scalar", "avx2") for stats output. */
-const char *simdLevelName(SimdLevel level);
+inline SimdLevel
+activeSimdLevel()
+{
+    return SimdLevel::Scalar;
+}
 
-/**
- * Highest variant this host supports, before any override: Avx2 when
- * cpuid reports AVX2, else Scalar. Never consults the environment.
- */
-SimdLevel detectedSimdLevel();
-
-/**
- * The variant the kernels currently dispatch to. Resolved once on first
- * use: detectedSimdLevel() clamped by GEMINI_DISABLE_SIMD. Subsequent
- * forceSimdLevel() calls change it process-wide.
- */
-SimdLevel activeSimdLevel();
-
-/**
- * Force the active variant (tests and benchmarks). Returns false — and
- * changes nothing — when the host cannot execute the requested variant
- * (forcing Avx2 on a non-AVX2 machine). Not thread-safe against
- * concurrent kernel dispatch; callers switch levels only around
- * single-threaded sections, as the fuzz tests do.
- */
-bool forceSimdLevel(SimdLevel level);
+/** Name of a kernel implementation ("scalar") for stats output. */
+inline const char *
+simdLevelName(SimdLevel)
+{
+    return "scalar";
+}
 
 } // namespace gemini::common
 

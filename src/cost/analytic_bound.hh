@@ -52,7 +52,8 @@ struct AnalyticBoundResult
 /**
  * Compute the analytical delay/energy lower bound of `models` on `cfg`.
  *
- * @param maxGroupLayers  the mapping engine's DP segment-length cap; any
+ * @param maxGroupLayers  the mapping engine's DP segment-length cap (>= 1,
+ *        asserted); any
  *        achievable grouping is a contiguous segmentation with segments of
  *        at most min(maxGroupLayers, coreCount) layers, which the bound's
  *        DP minimizes over.

@@ -12,8 +12,8 @@
 #include <thread>
 #include <utility>
 
+#include "src/common/cpu_time.hh"
 #include "src/common/logging.hh"
-#include "src/common/simd.hh"
 #include "src/common/thread_pool.hh"
 #include "src/cost/cost_stack.hh"
 #include "src/dse/journal.hh"
@@ -97,13 +97,28 @@ finishRecord(DseRecord &rec, const DseOptions &options)
         objectiveOf(rec, options.alpha, options.beta, options.gamma);
 }
 
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
+/**
+ * The clocks of one scheduler task: wall time for the record's
+ * evalSeconds, thread CPU time for the rung ledger. A task runs on one
+ * pool thread from start to finish and DSE runs pin saThreads = 1, so
+ * the thread clock sees all of an in-process candidate's work.
+ */
+struct TaskTimer
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
+    std::chrono::steady_clock::time_point wall0 =
+        std::chrono::steady_clock::now();
+    double cpu0 = common::threadCpuSeconds();
+
+    double
+    wallSeconds() const
+    {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - wall0)
+            .count();
+    }
+
+    double cpuSeconds() const { return common::threadCpuSeconds() - cpu0; }
+};
 
 /**
  * Reset a record to the shape of a candidate that was never evaluated:
@@ -126,10 +141,9 @@ markUnevaluated(DseRecord &rec)
 
 /**
  * Fill the MC of a record's architecture, its objective lower bound and
- * the bound's explanatory components. schedule.analyticBound selects the
- * per-layer segmentation-DP bound (maxGroupLayers caps the DP, mirroring
- * the partitioner) or the legacy whole-model roofline (maxGroupLayers <= 0
- * fallback inside the stack).
+ * the bound's explanatory components. The bound is the per-layer
+ * segmentation-DP bound; maxGroupLayers caps the DP, mirroring the
+ * partitioner.
  */
 void
 fillMcAndBound(DseRecord &rec, const DseOptions &options)
@@ -138,13 +152,10 @@ fillMcAndBound(DseRecord &rec, const DseOptions &options)
                                 options.costParams);
     rec.mc = stack.mcBreakdown();
     cost::BoundComponents comps;
-    const int max_group_layers = options.schedule.analyticBound
-                                     ? options.mapping.maxGroupLayers
-                                     : 0;
     rec.objectiveLowerBound = stack.dseObjectiveLowerBound(
         options.models, options.mapping.batch, rec.mc.total(),
-        options.alpha, options.beta, options.gamma, max_group_layers,
-        &comps);
+        options.alpha, options.beta, options.gamma,
+        options.mapping.maxGroupLayers, &comps);
     rec.boundComputeSeconds = comps.computeSeconds;
     rec.boundDramSeconds = comps.dramSeconds;
     rec.boundNocSeconds = comps.nocSeconds;
@@ -219,8 +230,6 @@ class MultiFidelityScheduler
         cohorts_.assign(static_cast<std::size_t>(n_rungs), {});
         done_.assign(static_cast<std::size_t>(n_rungs), 0);
         result_.stats.scheduled = !exhaustive_;
-        result_.stats.simdLevel =
-            common::simdLevelName(common::activeSimdLevel());
         result_.stats.numaNodes = pool_.numaNodeCount();
         result_.stats.pinnedWorkers = pool_.pinnedWorkers();
         result_.stats.rungs.resize(static_cast<std::size_t>(n_rungs));
@@ -546,15 +555,16 @@ class MultiFidelityScheduler
     void
     runBound(std::size_t i)
     {
-        const auto t0 = std::chrono::steady_clock::now();
+        const TaskTimer timer;
         DseRecord &rec = result_.records[i];
         rec.arch = candidates_[i];
         if (!opts_.stop.stopRequested() && !abortRequested())
             fillMcAndBound(rec, opts_);
+        const double cpu = timer.cpuSeconds();
+        const double wall = timer.wallSeconds();
         std::lock_guard lock(mu_);
-        const double seconds = secondsSince(t0);
-        result_.stats.rungs[0].cpuSeconds += seconds;
-        rec.evalSeconds += seconds;
+        result_.stats.rungs[0].cpuSeconds += cpu;
+        rec.evalSeconds += wall;
         if (++boundsDone_ == cohorts_[0].size())
             enqueueScreenLocked();
     }
@@ -598,34 +608,36 @@ class MultiFidelityScheduler
     void
     runScreen(std::size_t i)
     {
-        const auto t0 = std::chrono::steady_clock::now();
+        const TaskTimer timer;
         const arch::ArchConfig &cfg = candidates_[i];
         DseRecord &rec = result_.records[i];
         if (opts_.stop.stopRequested() || abortRequested()) {
             // Cancelled before evaluation: an unevaluated record must
             // never look like a winner. The cohort still resolves.
             markUnevaluated(rec);
-            finishTask(0, i, secondsSince(t0));
+            finishTask(0, i, timer);
             return;
         }
         if (ruledOutByBound(rec)) {
             // Skipped before partitioning (and before any worker
             // dispatch); resolveLocked records the prune.
             markUnevaluated(rec);
-            finishTask(0, i, secondsSince(t0));
+            finishTask(0, i, timer);
             return;
         }
 
         CandState &st = states_[i];
+        double worker_cpu = 0.0;
         if (remote_) {
             RemoteEvalRequest rq;
             rq.index = i;
             rq.arch = &cfg;
             rq.rung = 0;
             RemoteEvalOutcome out = opts_.remoteEval(rq);
+            worker_cpu = out.cpuSeconds;
             if (out.poisoned) {
                 markPoisoned(rec, 0, std::move(out.poisonReason));
-                finishTask(0, i, secondsSince(t0));
+                finishTask(0, i, timer, worker_cpu);
                 return;
             }
             st.mappings = std::move(out.mappings);
@@ -651,7 +663,7 @@ class MultiFidelityScheduler
         }
         finishRecord(rec, opts_);
         rec.rungReached = 0;
-        finishTask(0, i, secondsSince(t0));
+        finishTask(0, i, timer, worker_cpu);
     }
 
     /**
@@ -662,10 +674,11 @@ class MultiFidelityScheduler
     void
     runExhaustive(std::size_t i)
     {
-        const auto t0 = std::chrono::steady_clock::now();
+        const TaskTimer timer;
         const arch::ArchConfig &cfg = candidates_[i];
         DseRecord &rec = result_.records[i];
         rec.arch = cfg;
+        double worker_cpu = 0.0;
         if (opts_.stop.stopRequested() || abortRequested()) {
             markUnevaluated(rec);
         } else if (remote_) {
@@ -675,6 +688,7 @@ class MultiFidelityScheduler
             rq.arch = &cfg;
             rq.rung = -1;
             RemoteEvalOutcome out = opts_.remoteEval(rq);
+            worker_cpu = out.cpuSeconds;
             if (out.poisoned) {
                 markPoisoned(rec, 0, std::move(out.poisonReason));
             } else {
@@ -686,7 +700,7 @@ class MultiFidelityScheduler
         } else {
             rec = evaluateCandidate(cfg, opts_);
         }
-        finishTask(0, i, secondsSince(t0));
+        finishTask(0, i, timer, worker_cpu);
     }
 
     void
@@ -703,18 +717,19 @@ class MultiFidelityScheduler
     void
     runSaRung(int rung, std::size_t i)
     {
-        const auto t0 = std::chrono::steady_clock::now();
+        const TaskTimer timer;
         DseRecord &rec = result_.records[i];
         CandState &st = states_[i];
         if (opts_.stop.stopRequested() || abortRequested()) {
             // Cancelled: keep the record's deepest completed evaluation
             // (screen or an earlier race rung — still a valid, comparable
             // result) and let the cohort resolve.
-            finishTask(rung, i, secondsSince(t0));
+            finishTask(rung, i, timer);
             return;
         }
         const int iters = rungIters(rung);
         const int chains = rungChains(rung);
+        double worker_cpu = 0.0;
         if (remote_) {
             RemoteEvalRequest rq;
             rq.index = i;
@@ -725,9 +740,10 @@ class MultiFidelityScheduler
             rq.seed = rungSeed(rung);
             rq.warmStarts = &st.mappings;
             RemoteEvalOutcome out = opts_.remoteEval(rq);
+            worker_cpu = out.cpuSeconds;
             if (out.poisoned) {
                 markPoisoned(rec, rung, std::move(out.poisonReason));
-                finishTask(rung, i, secondsSince(t0));
+                finishTask(rung, i, timer, worker_cpu);
                 return;
             }
             st.mappings = std::move(out.mappings);
@@ -753,7 +769,7 @@ class MultiFidelityScheduler
         }
         finishRecord(rec, opts_);
         rec.rungReached = rung;
-        finishTask(rung, i, secondsSince(t0));
+        finishTask(rung, i, timer, worker_cpu);
     }
 
     bool
@@ -784,16 +800,22 @@ class MultiFidelityScheduler
 
     /**
      * Charge a finished task to the ledger and fold its objective into
-     * the rung's running best. The cohort's last finisher resolves it.
+     * the rung's running best. The rung is charged the task thread's CPU
+     * plus `worker_cpu`, the CPU a worker process reported for the
+     * evaluation it ran on the task's behalf. The cohort's last finisher
+     * resolves it.
      */
     void
-    finishTask(int rung, std::size_t i, double seconds)
+    finishTask(int rung, std::size_t i, const TaskTimer &timer,
+               double worker_cpu = 0.0)
     {
+        const double cpu = timer.cpuSeconds() + worker_cpu;
+        const double wall = timer.wallSeconds();
         std::lock_guard lock(mu_);
         DseRungStats &rs = result_.stats.rungs[static_cast<std::size_t>(rung)];
-        rs.cpuSeconds += seconds;
+        rs.cpuSeconds += cpu;
         DseRecord &rec = result_.records[i];
-        rec.evalSeconds += seconds;
+        rec.evalSeconds += wall;
         if (rec.feasible && std::isfinite(rec.objective))
             rs.bestObjective = std::min(rs.bestObjective, rec.objective);
         if (++done_[static_cast<std::size_t>(rung)] ==

@@ -109,15 +109,6 @@ struct DseSchedule
     std::size_t minKeep = 4;
 
     /**
-     * Use the per-layer segmentation-DP analytical bound (GLB-forced
-     * refetch + NoC ingress cut + per-layer rooflines) as the screen
-     * prune oracle. false reverts to the pre-analytical whole-model
-     * peak-MACs/compulsory-DRAM roofline — strictly weaker but cheaper;
-     * both are sound, so this only changes how hard the screen prunes.
-     */
-    bool analyticBound = true;
-
-    /**
      * Annealing chains of the polish rung (the effective count is the
      * larger of this and SaOptions::chains). Finalists are few, so
      * best-of-K polish costs little and recovers the quality a harsh
@@ -136,7 +127,7 @@ struct DseRungStats
     int prunedRank = 0;  ///< dropped by the keep-fraction ranking
     int poisoned = 0;    ///< quarantined at this rung (worker mode)
     int saIters = 0;     ///< per-candidate per-model SA budget of the rung
-    double cpuSeconds = 0.0;    ///< summed per-candidate eval seconds
+    double cpuSeconds = 0.0;    ///< summed thread-CPU seconds of tasks
     double bestObjective = 0.0; ///< best feasible objective after the rung
 };
 
@@ -170,13 +161,6 @@ struct DseStats
      * journal, not re-evaluated.
      */
     int resumedRung = -1;
-
-    /**
-     * Kernel variant the evaluation hot path dispatched to for this run
-     * ("scalar" or "avx2"; see common::activeSimdLevel). Observability
-     * only — results are bit-identical across variants.
-     */
-    const char *simdLevel = "";
 
     /** NUMA nodes the evaluation pool detected (>= 1 once populated). */
     std::size_t numaNodes = 0;
@@ -248,6 +232,9 @@ struct RemoteEvalOutcome
 
     /** SA iterations executed, all models and chains (0 without SA). */
     int saIters = 0;
+
+    /** CPU seconds of the worker thread that ran the evaluation. */
+    double cpuSeconds = 0.0;
 };
 
 /**
@@ -430,7 +417,7 @@ struct DseRecord
      */
     int saIters = 0;
 
-    /** CPU-seconds spent evaluating this candidate. */
+    /** Wall seconds spent evaluating this candidate, over all tasks. */
     double evalSeconds = 0.0;
 
     double edp() const { return energyGeo * delayGeo; }

@@ -414,8 +414,8 @@ Analyzer::evaluateGroupFullMerge(const LayerGroupMapping &group,
     // assembly) and the per-link sums fold in ascending slot order, the
     // canonical order the delta-evaluated state reproduces. No TrafficMap
     // is materialized. The on-chip/D2D sums are order-dependent and stay
-    // sequential; the bottleneck max batches through the fused SIMD
-    // kernel over the packed (bytes, kind) arrays the drain fills.
+    // sequential; the bottleneck max batches through the fused
+    // maxSeconds kernel over the packed (bytes, kind) arrays the drain fills.
     double on_chip = 0.0;
     double d2d = 0.0;
     for (std::size_t li = 0; li < n_layers; ++li)
@@ -433,7 +433,7 @@ Analyzer::evaluateGroupFullMerge(const LayerGroupMapping &group,
         linkBytes_.push_back(bytes);
         linkKinds_.push_back(static_cast<std::uint8_t>(kind));
     });
-    const double max_link_seconds = kernels::active().maxSeconds(
+    const double max_link_seconds = kernels::maxSeconds(
         linkBytes_.data(), linkKinds_.data(), noc_.nocBandwidthBps(),
         noc_.d2dBandwidthBps(), linkBytes_.size());
 
@@ -478,7 +478,7 @@ Analyzer::evaluateFromState(const GroupState &state, std::int64_t num_units,
                             const cost::CostStack &costs) const
 {
     // Everything here folds packed SoA state: scalar aggregates through
-    // the (bit-identical) SIMD folds, DRAM rows through the elementwise
+    // the order-free max folds, DRAM rows through the elementwise
     // accumulate kernel, links through the packed fold + tournament root.
     const GroupState::ScalarFold scalars = state.foldScalars();
     const double glb_overflow = std::max(scalars.glbOverflow, 0.0);

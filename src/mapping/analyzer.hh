@@ -331,7 +331,7 @@ class Analyzer
 
     /** Dense merge scratch of the fused cost-accumulation path. */
     mutable DenseLinkAccumulator merge_;
-    /** Packed (bytes, kind) of the drained merge, for the SIMD max. */
+    /** Packed (bytes, kind) of the drained merge, for the fused max. */
     mutable std::vector<double> linkBytes_;
     mutable std::vector<std::uint8_t> linkKinds_;
     mutable std::uint64_t cacheHits_ = 0;

@@ -144,14 +144,14 @@ class DenseLinkAccumulator
 
     /**
      * Merge a fragment's whole link list at once: flat slots batch
-     * through the SIMD index kernel, then accumulate in list order —
+     * through the linkSlots kernel, then accumulate in list order —
      * bit-identical to add() per entry (same indices, same sum order).
      */
     void
     addMany(const std::pair<noc::LinkKey, double> *links, std::size_t n)
     {
         idxScratch_.resize(n);
-        kernels::active().linkSlots(idxScratch_.data(), links, nodes_, n);
+        kernels::linkSlots(idxScratch_.data(), links, nodes_, n);
         for (std::size_t i = 0; i < n; ++i) {
             const auto idx = static_cast<std::size_t>(idxScratch_[i]);
             if (bytes_[idx] == 0.0)

@@ -18,9 +18,8 @@ MaxSegTree::resizePreserve(std::size_t leaves)
         fresh[m + i] = tree_[n_ + i];
     tree_ = std::move(fresh);
     n_ = m;
-    const kernels::KernelTable &k = kernels::active();
     for (std::size_t lvl = n_ >> 1; lvl >= 1; lvl >>= 1)
-        k.pairMax(tree_.data() + lvl, tree_.data() + 2 * lvl, lvl);
+        kernels::pairMax(tree_.data() + lvl, tree_.data() + 2 * lvl, lvl);
 }
 
 void
@@ -30,9 +29,8 @@ MaxSegTree::assign(const double *values, std::size_t count)
     std::memcpy(tree_.data() + n_, values, count * sizeof(double));
     std::fill(tree_.begin() + static_cast<std::ptrdiff_t>(n_ + count),
               tree_.end(), 0.0);
-    const kernels::KernelTable &k = kernels::active();
     for (std::size_t lvl = n_ >> 1; lvl >= 1; lvl >>= 1)
-        k.pairMax(tree_.data() + lvl, tree_.data() + 2 * lvl, lvl);
+        kernels::pairMax(tree_.data() + lvl, tree_.data() + 2 * lvl, lvl);
 }
 
 std::uint32_t
@@ -108,7 +106,6 @@ GroupState::rebuild(const dnn::Graph &graph, const LayerGroupMapping &group,
     const std::size_t n_layers = group.layers.size();
     GEMINI_ASSERT(tiles.size() == n_layers && flows.size() == n_layers,
                   "rebuild needs every layer's fragments");
-    const kernels::KernelTable &k = kernels::active();
 
     membership.clear();
     membership.push_back(batch);
@@ -138,7 +135,7 @@ GroupState::rebuild(const dnn::Graph &graph, const LayerGroupMapping &group,
     layerDram_.assign(n_layers * dramStride_, 0.0);
 
     // Pass 1: per-layer metadata, flat link slots (batched through the
-    // SIMD index kernel) and per-slot contribution counts; dense entries
+    // linkSlots kernel) and per-slot contribution counts; dense entries
     // are created in first-touch order. Layer entries are recycled in
     // place so their vectors keep capacity across rebuilds.
     layers.resize(n_layers);
@@ -166,8 +163,8 @@ GroupState::rebuild(const dnn::Graph &graph, const LayerGroupMapping &group,
 
         const auto &links = flows[li]->links;
         slotScratch_.resize(links.size());
-        k.linkSlots(slotScratch_.data(), links.data(), nodes_,
-                    links.size());
+        kernels::linkSlots(slotScratch_.data(), links.data(), nodes_,
+                           links.size());
         entry.linkSlots.assign(slotScratch_.begin(), slotScratch_.end());
         for (std::uint32_t slot : entry.linkSlots) {
             std::uint32_t &m = slotMap_[slot];
@@ -221,9 +218,9 @@ GroupState::rebuild(const dnn::Graph &graph, const LayerGroupMapping &group,
         kindScratch_[i] = kind;
     }
     secondsScratch_.resize(n_active);
-    k.secondsFromKinds(secondsScratch_.data(), bytesScratch_.data(),
-                       kindScratch_.data(), noc.nocBandwidthBps(),
-                       noc.d2dBandwidthBps(), n_active);
+    kernels::secondsFromKinds(secondsScratch_.data(), bytesScratch_.data(),
+                              kindScratch_.data(), noc.nocBandwidthBps(),
+                              noc.d2dBandwidthBps(), n_active);
     tree_.assign(secondsScratch_.data(), n_active);
 
     // Pipeline depth is membership-invariant: compute once per rebuild.
@@ -257,7 +254,6 @@ GroupState::applyDelta(const LayerGroupMapping &group,
                        const noc::InterconnectModel &noc)
 {
     GEMINI_ASSERT(valid, "applyDelta on an unbuilt state");
-    const kernels::KernelTable &k = kernels::active();
     affected_.clear();
 
     // First touch records whether the slot was active *before* this
@@ -281,7 +277,7 @@ GroupState::applyDelta(const LayerGroupMapping &group,
         const auto &links = flows[li]->links;
         const std::size_t n_new = links.size();
         slotScratch_.resize(n_new);
-        k.linkSlots(slotScratch_.data(), links.data(), nodes_, n_new);
+        kernels::linkSlots(slotScratch_.data(), links.data(), nodes_, n_new);
         idxScratch_.resize(n_new);
         for (std::size_t e = 0; e < n_new; ++e)
             idxScratch_[e] =
@@ -413,9 +409,9 @@ GroupState::applyDelta(const LayerGroupMapping &group,
     // Tournament updates: one batched exact-division kernel, then
     // O(log) point sets with ancestor early-exit. Leaf id == dense index.
     secondsScratch_.resize(n_affected);
-    k.secondsFromKinds(secondsScratch_.data(), bytesScratch_.data(),
-                       kindScratch_.data(), noc.nocBandwidthBps(),
-                       noc.d2dBandwidthBps(), n_affected);
+    kernels::secondsFromKinds(secondsScratch_.data(), bytesScratch_.data(),
+                              kindScratch_.data(), noc.nocBandwidthBps(),
+                              noc.d2dBandwidthBps(), n_affected);
     for (std::size_t i = 0; i < n_affected; ++i)
         tree_.set(affected_[i], secondsScratch_[i]);
 
@@ -447,10 +443,9 @@ GroupState::refreshFolds() const
 {
     if (foldsValid_)
         return;
-    const kernels::KernelTable &k = kernels::active();
 
     // Sequential adds in ascending-slot order (the canonical fold the
-    // reference drains in) — order-dependent, so no SIMD here. The
+    // reference drains in) — order-dependent, so no kernel here. The
     // slotMap_ reads walk an ascending stride (prefetch-friendly) and
     // the dense reads stay L1-resident.
     LinkFold link;
@@ -465,19 +460,20 @@ GroupState::refreshFolds() const
     cachedLink_ = link;
 
     // Energy sums in ascending layer order (order-dependent: sequential);
-    // the maxima are order-free and take the SIMD fold.
+    // the maxima are order-free and take the maxOf fold.
     ScalarFold scalar;
     const std::size_t n_layers = layerEnergy_.size();
     for (std::size_t li = 0; li < n_layers; ++li)
         scalar.coreEnergy += layerEnergy_[li];
-    scalar.maxStage = k.maxOf(layerStage_.data(), n_layers);
-    scalar.glbOverflow = k.maxOf(layerGlb_.data(), n_layers);
+    scalar.maxStage = kernels::maxOf(layerStage_.data(), n_layers);
+    scalar.glbOverflow = kernels::maxOf(layerGlb_.data(), n_layers);
     cachedScalar_ = scalar;
 
     cachedDram_.assign(dramStride_, 0.0);
     for (std::size_t li = 0; li < n_layers; ++li)
-        k.accumulate(cachedDram_.data(),
-                     layerDram_.data() + li * dramStride_, dramStride_);
+        kernels::accumulate(cachedDram_.data(),
+                            layerDram_.data() + li * dramStride_,
+                            dramStride_);
 
     foldsValid_ = true;
 }
@@ -502,7 +498,7 @@ GroupState::accumulateDram(double *acc, std::size_t dram_count) const
     GEMINI_ASSERT(dram_count == dramStride_,
                   "DRAM stack count mismatch against resident state");
     refreshFolds();
-    kernels::active().accumulate(acc, cachedDram_.data(), dramStride_);
+    kernels::accumulate(acc, cachedDram_.data(), dramStride_);
 }
 
 } // namespace gemini::mapping

@@ -30,8 +30,8 @@
  * application performs zero heap allocations (allocEvents() proves it).
  * The canonical folds are cached per delta (pure functions of the
  * resident fragment set), and order-free reductions (tournament leaves,
- * maxima) batch through the runtime-dispatched SIMD kernels
- * (mapping/kernels.hh), bit-identical to scalar.
+ * maxima) batch through the order-independent kernels
+ * (mapping/kernels.hh).
  */
 
 #ifndef GEMINI_MAPPING_GROUP_STATE_HH
@@ -91,7 +91,7 @@ class MaxSegTree
     /**
      * Bulk rebuild: leaves [0, count) take `values`, the rest zero, and
      * every internal level recomputes bottom-up (pairwise max through
-     * the SIMD kernels — O(leaves) total, vs O(count log leaves) point
+     * the pairMax kernel — O(leaves) total, vs O(count log leaves) point
      * sets). Requires count <= leaves().
      */
     void assign(const double *values, std::size_t count);
@@ -193,8 +193,8 @@ class GroupState
     struct ScalarFold
     {
         double coreEnergy = 0.0;  ///< sum in ascending layer order
-        double maxStage = 0.0;    ///< order-free max (SIMD)
-        double glbOverflow = 0.0; ///< order-free max (SIMD), >= 0
+        double maxStage = 0.0;    ///< order-free max
+        double glbOverflow = 0.0; ///< order-free max, >= 0
     };
     ScalarFold foldScalars() const;
 

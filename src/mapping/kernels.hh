@@ -1,23 +1,22 @@
 /**
  * @file
- * Vectorized evaluation kernels of the SA/DSE hot path, in two always-
- * built variants (portable scalar, AVX2) behind one dispatch table
- * selected at runtime from cpuid (src/common/simd.hh). Both variants are
- * bit-identical by construction — the table only admits operations whose
- * IEEE-754 result is independent of lane grouping:
+ * Evaluation kernels of the SA/DSE hot path: plain loops the compiler is
+ * free to vectorize, with no runtime dispatch. Every kernel is an
+ * operation whose IEEE-754 result does not depend on evaluation order or
+ * grouping, so the delta path (group_state.hh) and the full-merge
+ * reference agree bit for bit whatever the compiler does with them:
  *
  *  - elementwise add / divide: no reassociation, each output element is
- *    the same single rounded operation in either variant;
- *  - max folds: replicate the scalar fold's exact comparison semantics
- *    ((candidate > acc) ? candidate : acc, seed 0.0) with compare+blend
- *    rather than vmaxpd, so signed zeros cannot diverge, and rely on max
- *    being order-free for non-NaN inputs;
+ *    one single rounded operation;
+ *  - max folds: seed +0.0 and take (x > acc) ? x : acc, or std::max's
+ *    (a < b) ? b : a for pairs, so signed zeros follow these exact
+ *    comparisons, and max is order-free for non-NaN inputs;
  *  - integer flat-index math: exact in any width.
  *
  * Order-dependent folds (the canonical ascending sums the differential
  * fuzz suite pins bit-for-bit) are deliberately NOT here: those loops
- * stay sequential scalar, and their speed comes from the contiguous
- * layouts in group_state.hh instead.
+ * stay sequential at their call sites, and their speed comes from the
+ * contiguous layouts in group_state.hh instead.
  */
 
 #ifndef GEMINI_MAPPING_KERNELS_HH
@@ -27,62 +26,82 @@
 #include <cstdint>
 #include <utility>
 
-#include "src/common/simd.hh"
 #include "src/noc/traffic_map.hh"
 
 namespace gemini::mapping::kernels {
 
+/** dst[i] += src[i] (independent lanes, no reassociation). */
+inline void
+accumulate(double *dst, const double *src, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        dst[i] += src[i];
+}
+
+/** Fold max over x with seed 0.0 and (x[i] > acc) semantics. */
+inline double
+maxOf(const double *x, std::size_t n)
+{
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        if (x[i] > acc)
+            acc = x[i];
+    return acc;
+}
+
 /**
- * The dispatchable kernel set. All pointers are non-null in both
- * variants; scalar is the reference the AVX2 variant must match bit for
- * bit (tests/test_kernels.cc fuzzes every entry on both).
+ * dst[i] = bytes[i] / (kind[i] != 0 ? d2d_bps : noc_bps) — the per-link
+ * serialization seconds of the tournament tree, batched.
  */
-struct KernelTable
+inline void
+secondsFromKinds(double *dst, const double *bytes, const std::uint8_t *kind,
+                 double noc_bps, double d2d_bps, std::size_t n)
 {
-    /** dst[i] += src[i] (independent lanes, no reassociation). */
-    void (*accumulate)(double *dst, const double *src, std::size_t n);
+    for (std::size_t i = 0; i < n; ++i)
+        dst[i] = bytes[i] / (kind[i] != 0 ? d2d_bps : noc_bps);
+}
 
-    /** Fold max over x with seed 0.0 and (x[i] > acc) semantics. */
-    double (*maxOf)(const double *x, std::size_t n);
-
-    /**
-     * dst[i] = bytes[i] / (kind[i] != 0 ? d2d_bps : noc_bps) — the
-     * per-link serialization seconds of the tournament tree, batched.
-     * Division is exactly rounded, so lanes match scalar bit for bit.
-     */
-    void (*secondsFromKinds)(double *dst, const double *bytes,
-                             const std::uint8_t *kind, double noc_bps,
-                             double d2d_bps, std::size_t n);
-
-    /** Fused max of secondsFromKinds without materializing dst. */
-    double (*maxSeconds)(const double *bytes, const std::uint8_t *kind,
-                         double noc_bps, double d2d_bps, std::size_t n);
-
-    /**
-     * parent[i] = max(children[2i], children[2i+1]) with std::max's
-     * (a < b) ? b : a semantics — one tournament-tree level per call.
-     */
-    void (*pairMax)(double *parent, const double *children,
-                    std::size_t n_parents);
-
-    /**
-     * dst[i] = linkFrom(links[i].first) * nodes + linkTo(links[i].first):
-     * dense flat slots of a fragment's link list, batched (exact integer
-     * math; nodes <= 2^24 keeps every product in 56 bits).
-     */
-    void (*linkSlots)(std::uint64_t *dst,
-                      const std::pair<noc::LinkKey, double> *links,
-                      std::uint64_t nodes, std::size_t n);
-};
-
-/** Table for an explicit variant (tests compare the two directly). */
-const KernelTable &tableFor(common::SimdLevel level);
-
-/** The active table per common::activeSimdLevel() (cheap, re-resolved). */
-inline const KernelTable &
-active()
+/** Fused max of secondsFromKinds without materializing dst. */
+inline double
+maxSeconds(const double *bytes, const std::uint8_t *kind, double noc_bps,
+           double d2d_bps, std::size_t n)
 {
-    return tableFor(common::activeSimdLevel());
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double secs = bytes[i] / (kind[i] != 0 ? d2d_bps : noc_bps);
+        if (secs > acc)
+            acc = secs;
+    }
+    return acc;
+}
+
+/**
+ * parent[i] = max(children[2i], children[2i+1]) with std::max's
+ * (a < b) ? b : a semantics — one tournament-tree level per call.
+ */
+inline void
+pairMax(double *parent, const double *children, std::size_t n_parents)
+{
+    for (std::size_t i = 0; i < n_parents; ++i) {
+        const double a = children[2 * i];
+        const double b = children[2 * i + 1];
+        parent[i] = a < b ? b : a;
+    }
+}
+
+/**
+ * dst[i] = linkFrom(links[i].first) * nodes + linkTo(links[i].first):
+ * dense flat slots of a fragment's link list, batched (exact integer
+ * math; nodes <= 2^24 keeps every product in 56 bits).
+ */
+inline void
+linkSlots(std::uint64_t *dst, const std::pair<noc::LinkKey, double> *links,
+          std::uint64_t nodes, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const noc::LinkKey key = links[i].first;
+        dst[i] = (key >> 32) * nodes + (key & 0xFFFFFFFFull);
+    }
 }
 
 } // namespace gemini::mapping::kernels

@@ -170,7 +170,7 @@ class InterconnectModel
 
     /**
      * The two bandwidth constants behind linkBandwidthAt, for batched
-     * (SIMD) seconds computation over packed kind bytes: every link's
+     * seconds computation over packed kind bytes: every link's
      * bandwidth is one of exactly these two values.
      */
     double nocBandwidthBps() const { return nocBps_; }
@@ -216,9 +216,6 @@ class InterconnectModel
     std::vector<RouteRef> routes_;
     std::vector<LinkKey> routeLinks_;
 };
-
-/** Historical name of the interconnect seam (the mesh-only era). */
-using NocModel = InterconnectModel;
 
 } // namespace gemini::noc
 

@@ -86,28 +86,6 @@ TEST(AnalyticBound, SoundOnEveryTopologyAndModel)
     }
 }
 
-TEST(AnalyticBound, TighterThanLegacyRooflineNeverAbove)
-{
-    // maxGroupLayers <= 0 selects the pre-analytical whole-model roofline;
-    // the segmentation DP folds those same rooflines in as floors, so the
-    // analytical bound must dominate it (that is the point of the work)
-    // while staying sound.
-    const dnn::Graph g = dnn::zoo::tinyResidual();
-    for (arch::Topology t : arch::kAllTopologies) {
-        SCOPED_TRACE(arch::topologyName(t));
-        const arch::ArchConfig a = grid4x4(t);
-        const arch::TechParams tech;
-        const cost::AnalyticBoundResult legacy =
-            cost::analyticLowerBound(a, tech, {&g}, 2, 0);
-        const cost::AnalyticBoundResult analytic =
-            cost::analyticLowerBound(a, tech, {&g}, 2, 6);
-        EXPECT_GE(analytic.delayGeoSeconds,
-                  legacy.delayGeoSeconds * (1.0 - 1e-12));
-        EXPECT_GE(analytic.energyGeoJoules,
-                  legacy.energyGeoJoules * (1.0 - 1e-12));
-    }
-}
-
 TEST(AnalyticBound, DseObjectiveLowerBoundBelowAchievedObjective)
 {
     // Multi-model geomean path, exactly as the DSE driver prices it.

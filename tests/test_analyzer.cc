@@ -56,7 +56,7 @@ class AnalyzerTest : public ::testing::Test
 
     dnn::Graph graph_;
     arch::ArchConfig arch_;
-    noc::NocModel noc_;
+    noc::InterconnectModel noc_;
     intracore::Explorer explorer_;
     cost::CostStack energy_;
     Analyzer analyzer_;
@@ -231,7 +231,7 @@ TEST_F(AnalyzerTest, ChipletArchHasD2dEnergy)
 {
     arch::ArchConfig split = arch_;
     split.xCut = 3; // 3 chiplets of 1x2 cores
-    noc::NocModel noc2(split);
+    noc::InterconnectModel noc2(split);
     intracore::Explorer ex2(split.macsPerCore, split.glbBytes(),
                             split.freqGHz);
     cost::CostStack em2(split);
@@ -247,7 +247,7 @@ TEST_F(AnalyzerTest, GlbOverflowFlagsInfeasible)
 {
     arch::ArchConfig tiny = arch_;
     tiny.glbKiB = 1; // 1 KiB: nothing fits
-    noc::NocModel noc2(tiny);
+    noc::InterconnectModel noc2(tiny);
     intracore::Explorer ex2(tiny.macsPerCore, tiny.glbBytes(),
                             tiny.freqGHz);
     cost::CostStack em2(tiny);

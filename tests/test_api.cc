@@ -149,6 +149,32 @@ TEST(Spec, RejectsUnsupportedSchemaVersion)
     EXPECT_NE(error.find("version 1"), std::string::npos) << error;
 }
 
+TEST(Spec, RetiredAnalyticBoundKeyTrueIsANoOpFalseIsRejected)
+{
+    std::string error;
+    const auto plain = ExperimentSpec::fromJsonText(
+        R"({"models": [{"zoo": "tiny_conv"}]})", &error);
+    ASSERT_TRUE(plain.has_value()) << error;
+    const auto legacy = ExperimentSpec::fromJsonText(
+        R"({"models": [{"zoo": "tiny_conv"}],
+            "schedule": {"analytic_bound": true}})",
+        &error);
+    ASSERT_TRUE(legacy.has_value()) << error;
+    EXPECT_EQ(legacy->canonicalHash(), plain->canonicalHash());
+    const common::json::Value wire = legacy->toJson();
+    const common::json::Value *sched = wire.find("schedule");
+    ASSERT_NE(sched, nullptr);
+    EXPECT_EQ(sched->find("analytic_bound"), nullptr);
+
+    EXPECT_FALSE(ExperimentSpec::fromJsonText(
+                     R"({"schedule": {"analytic_bound": false}})", &error)
+                     .has_value());
+    EXPECT_NE(error.find("spec.schedule.analytic_bound"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("roofline bound was removed"), std::string::npos)
+        << error;
+}
+
 TEST(Spec, ValidateReportsActionableSemanticErrors)
 {
     ExperimentSpec spec; // no models

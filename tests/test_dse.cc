@@ -9,10 +9,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <limits>
 #include <set>
+#include <thread>
 
 #include "src/api/results.hh"
 #include "src/arch/presets.hh"
@@ -136,6 +138,34 @@ class DseRunTest : public ::testing::Test
     DseAxes axes_;
     DseOptions options_;
 };
+
+TEST_F(DseRunTest, LedgerChargesCpuTimeNotWorkerWaits)
+{
+    // A remote evaluator that only waits: it sleeps, then replays the
+    // in-process result and reports no worker CPU. The rung ledger must
+    // not count the sleep; the records' wall-clock evalSeconds must.
+    const DseResult ref = runDse(options_);
+    static constexpr double kSleep = 0.05;
+    DseOptions o = options_;
+    o.execution = ExecutionMode::Workers;
+    o.remoteEval = [&ref](const RemoteEvalRequest &rq) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(kSleep));
+        const DseRecord &want = ref.records[rq.index];
+        RemoteEvalOutcome out;
+        out.perModel = want.perModel;
+        out.seededAnalytic = want.seededAnalytic;
+        out.saIters = want.saIters;
+        out.cpuSeconds = 0.0;
+        return out;
+    };
+    const DseResult got = runDse(o);
+    ASSERT_EQ(got.records.size(), ref.records.size());
+    for (const DseRecord &rec : got.records)
+        EXPECT_GE(rec.evalSeconds, kSleep);
+    const double slept = kSleep * static_cast<double>(got.records.size());
+    EXPECT_LT(got.stats.cpuSeconds(), 0.25 * slept)
+        << "the ledger counted time the task spent waiting";
+}
 
 TEST_F(DseRunTest, EvaluatesAllCandidatesAndPicksBest)
 {

@@ -49,7 +49,7 @@ class PartitionTest : public ::testing::Test
 
     dnn::Graph graph_;
     arch::ArchConfig arch_;
-    noc::NocModel noc_;
+    noc::InterconnectModel noc_;
     intracore::Explorer explorer_;
     cost::CostStack energy_;
     Analyzer analyzer_;
@@ -134,7 +134,7 @@ TEST_F(PartitionTest, StarvedDramForcesLayerPipelining)
     const dnn::Graph g = dnn::zoo::tinyConvChain(10);
     arch::ArchConfig big = arch::simbaArch();
     big.dramBwGBps = 1.0;
-    noc::NocModel noc(big);
+    noc::InterconnectModel noc(big);
     intracore::Explorer ex(big.macsPerCore, big.glbBytes(), big.freqGHz);
     cost::CostStack em(big);
     Analyzer an(g, big, noc, ex);

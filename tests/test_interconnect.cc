@@ -219,7 +219,7 @@ TEST(InterconnectSeam, TemplateForEachHopMatchesRouteSpan)
 
 // ---------------------------------------------------------------------------
 // Mesh bit-exactness goldens. The hexfloat values below were captured from
-// the pre-refactor monolithic Analyzer + NocModel (commit efc3794) and must
+// the pre-refactor monolithic Analyzer + mesh NoC model (commit efc3794) and must
 // keep reproducing exactly: the seam and the staged pipeline are pure
 // refactors of the mesh/torus evaluation path.
 // ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 /**
  * @file
- * Unit and differential tests of the vectorized-hot-path infrastructure:
- * every kernel-table entry fuzzed scalar-vs-AVX2 for bit-equality
- * (including odd sizes and vector tails), the SIMD dispatch policy, the
- * SmallVec small-buffer container, the bump arena, cpulist parsing /
- * NUMA topology detection, the topology-aware thread pool's worker
- * arenas, and the SA operators' SchemeUndoLog.
+ * Unit tests of the hot-path infrastructure: the evaluation kernels
+ * against hand-computed expectations and an independent per-element
+ * reference (odd sizes included), the SmallVec small-buffer container,
+ * the bump arena, cpulist parsing / NUMA topology detection, the
+ * topology-aware thread pool's worker arenas, and the SA operators'
+ * SchemeUndoLog.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <utility>
@@ -20,20 +22,21 @@
 
 #include "src/common/arena.hh"
 #include "src/common/rng.hh"
-#include "src/common/simd.hh"
 #include "src/common/small_vec.hh"
 #include "src/common/thread_pool.hh"
 #include "src/mapping/kernels.hh"
 #include "src/mapping/operators.hh"
 
 using namespace gemini;
-using common::SimdLevel;
+namespace kernels = gemini::mapping::kernels;
 
 namespace {
 
-/** Sizes straddling every AVX2 lane/tail boundary. */
+/** Empty, odd and even sizes, short and long. */
 const std::size_t kSizes[] = {0, 1, 2, 3,  4,  5,  7,   8,
                               9, 15, 16, 17, 31, 33, 100, 257};
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 std::vector<double>
 randomDoubles(Rng &rng, std::size_t n)
@@ -41,115 +44,177 @@ randomDoubles(Rng &rng, std::size_t n)
     std::vector<double> v(n);
     for (double &x : v) {
         // Mixed magnitudes, signs, and exact zeros: the interesting
-        // cases for compare+blend max semantics and rounding.
+        // cases for the max semantics and rounding.
         const double mag = rng.nextDouble() * 1e6 - 5e5;
         x = rng.nextBool(0.1) ? 0.0 : mag;
     }
     return v;
 }
 
-class KernelDifferential : public testing::Test
+/** Same value and same sign bit (EXPECT_EQ treats -0.0 == +0.0). */
+void
+expectSameBits(double got, double want, const char *what)
 {
-  protected:
-    void
-    SetUp() override
-    {
-        if (common::detectedSimdLevel() < SimdLevel::Avx2)
-            GTEST_SKIP() << "host has no AVX2; scalar is the only variant";
-    }
+    EXPECT_EQ(got, want) << what;
+    EXPECT_EQ(std::signbit(got), std::signbit(want)) << what;
+}
 
-    const mapping::kernels::KernelTable &scalar_ =
-        mapping::kernels::tableFor(SimdLevel::Scalar);
-    const mapping::kernels::KernelTable &avx2_ =
-        mapping::kernels::tableFor(SimdLevel::Avx2);
-};
+// The kernels are checked against hand-computed results that pin the
+// semantics the delta path relies on, and against a per-element
+// reference for random inputs of every size in kSizes.
 
-TEST_F(KernelDifferential, AccumulateBitIdentical)
+TEST(KernelDifferential, AccumulateBitIdentical)
 {
+    std::vector<double> dst = {1.5, -2.0, 0.25, -0.0, 1e308};
+    const std::vector<double> src = {0.5, 2.0, -0.25, 0.0, 1e308};
+    kernels::accumulate(dst.data(), src.data(), dst.size());
+    expectSameBits(dst[0], 2.0, "1.5 + 0.5");
+    expectSameBits(dst[1], 0.0, "-2 + 2");
+    expectSameBits(dst[2], 0.0, "0.25 - 0.25");
+    expectSameBits(dst[3], 0.0, "-0 + +0");
+    EXPECT_EQ(dst[4], std::numeric_limits<double>::infinity());
+
     Rng rng(0xACC0ull);
     for (std::size_t n : kSizes) {
-        const std::vector<double> src = randomDoubles(rng, n);
-        std::vector<double> a = randomDoubles(rng, n);
-        std::vector<double> b = a;
-        scalar_.accumulate(a.data(), src.data(), n);
-        avx2_.accumulate(b.data(), src.data(), n);
+        const std::vector<double> add = randomDoubles(rng, n);
+        std::vector<double> acc = randomDoubles(rng, n);
+        std::vector<double> want = acc;
         for (std::size_t i = 0; i < n; ++i)
-            ASSERT_EQ(a[i], b[i]) << "n=" << n << " i=" << i;
+            want[i] = want[i] + add[i];
+        kernels::accumulate(acc.data(), add.data(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(acc[i], want[i]) << "n=" << n << " i=" << i;
     }
 }
 
-TEST_F(KernelDifferential, MaxOfBitIdentical)
+TEST(KernelDifferential, MaxOfBitIdentical)
 {
+    const std::vector<double> odd = {3.0, 7.0, 7.0, 2.0, 1.0};
+    EXPECT_EQ(kernels::maxOf(odd.data(), odd.size()), 7.0);
+    // (x > acc) is false for NaN, so NaNs are skipped wherever they sit.
+    const std::vector<double> nan = {kNaN, 1.0, kNaN};
+    EXPECT_EQ(kernels::maxOf(nan.data(), nan.size()), 1.0);
+    expectSameBits(kernels::maxOf(nullptr, 0), 0.0, "empty");
+
     Rng rng(0x3A10ull);
     for (std::size_t n : kSizes) {
         const std::vector<double> x = randomDoubles(rng, n);
-        EXPECT_EQ(scalar_.maxOf(x.data(), n), avx2_.maxOf(x.data(), n))
-            << "n=" << n;
+        double want = 0.0;
+        for (double v : x)
+            want = std::max(want, v);
+        EXPECT_EQ(kernels::maxOf(x.data(), n), want) << "n=" << n;
     }
 }
 
-TEST_F(KernelDifferential, MaxOfSeedsWithPositiveZero)
+TEST(KernelDifferential, MaxOfSeedsWithPositiveZero)
 {
     // The fold seeds with 0.0 and uses (x > acc) strictly: an
-    // all-negative (or all -0.0) input must return +0.0 in both
-    // variants, not the largest negative element.
+    // all-negative (or all -0.0) input must return +0.0, not the
+    // largest negative element.
     const std::vector<double> neg = {-1.0, -5.0, -0.0, -2.5};
-    const double s = scalar_.maxOf(neg.data(), neg.size());
-    const double v = avx2_.maxOf(neg.data(), neg.size());
-    EXPECT_EQ(s, 0.0);
-    EXPECT_EQ(v, 0.0);
-    EXPECT_FALSE(std::signbit(s));
-    EXPECT_FALSE(std::signbit(v));
+    expectSameBits(kernels::maxOf(neg.data(), neg.size()), 0.0,
+                   "all negative");
+    const std::vector<double> zeros = {-0.0, -0.0, -0.0};
+    expectSameBits(kernels::maxOf(zeros.data(), zeros.size()), 0.0,
+                   "all -0.0");
 }
 
-TEST_F(KernelDifferential, SecondsFromKindsBitIdentical)
+TEST(KernelDifferential, SecondsFromKindsBitIdentical)
 {
-    Rng rng(0x5EC0ull);
-    const double noc_bps = 256.0e9;
-    const double d2d_bps = 100.1e9; // deliberately not a power of two
-    for (std::size_t n : kSizes) {
-        std::vector<double> bytes(n);
-        std::vector<std::uint8_t> kind(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            bytes[i] = rng.nextDouble() * 1e9;
-            kind[i] = static_cast<std::uint8_t>(rng.nextBool(0.5) ? 1 : 0);
-        }
-        std::vector<double> a(n, -1.0), b(n, -2.0);
-        scalar_.secondsFromKinds(a.data(), bytes.data(), kind.data(),
-                                 noc_bps, d2d_bps, n);
-        avx2_.secondsFromKinds(b.data(), bytes.data(), kind.data(),
-                               noc_bps, d2d_bps, n);
-        for (std::size_t i = 0; i < n; ++i)
-            ASSERT_EQ(a[i], b[i]) << "n=" << n << " i=" << i;
+    // Exact quotients: any kind byte other than 0 selects the D2D rate.
+    const double noc_bps = 4e9;
+    const double d2d_bps = 2e9;
+    const std::vector<double> bytes = {8e9, 8e9, 8e9, 6e9, 0.0};
+    const std::vector<std::uint8_t> kind = {0, 1, 255, 1, 0};
+    std::vector<double> secs(bytes.size(), -1.0);
+    kernels::secondsFromKinds(secs.data(), bytes.data(), kind.data(),
+                              noc_bps, d2d_bps, bytes.size());
+    EXPECT_EQ(secs, (std::vector<double>{2.0, 4.0, 4.0, 3.0, 0.0}));
+    // The fused max prices each link at its own rate before comparing.
+    const std::uint8_t two_kinds[] = {0, 1};
+    const double two_bytes[] = {8e9, 6e9};
+    EXPECT_EQ(kernels::maxSeconds(two_bytes, two_kinds, noc_bps, d2d_bps, 2),
+              3.0);
+    EXPECT_EQ(kernels::maxSeconds(bytes.data(), kind.data(), noc_bps,
+                                  d2d_bps, bytes.size()),
+              4.0);
+    expectSameBits(kernels::maxSeconds(nullptr, nullptr, noc_bps, d2d_bps, 0),
+                   0.0, "empty");
 
-        EXPECT_EQ(scalar_.maxSeconds(bytes.data(), kind.data(), noc_bps,
-                                     d2d_bps, n),
-                  avx2_.maxSeconds(bytes.data(), kind.data(), noc_bps,
-                                   d2d_bps, n))
+    Rng rng(0x5EC0ull);
+    const double noc_rand = 256.0e9;
+    const double d2d_rand = 100.1e9; // deliberately not a power of two
+    for (std::size_t n : kSizes) {
+        std::vector<double> b(n);
+        std::vector<std::uint8_t> k(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            b[i] = rng.nextDouble() * 1e9;
+            k[i] = static_cast<std::uint8_t>(rng.nextBool(0.5) ? 1 : 0);
+        }
+        std::vector<double> got(n, -1.0);
+        kernels::secondsFromKinds(got.data(), b.data(), k.data(), noc_rand,
+                                  d2d_rand, n);
+        double want_max = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double want = k[i] ? b[i] / d2d_rand : b[i] / noc_rand;
+            ASSERT_EQ(got[i], want) << "n=" << n << " i=" << i;
+            want_max = std::max(want_max, want);
+        }
+        EXPECT_EQ(kernels::maxSeconds(b.data(), k.data(), noc_rand,
+                                      d2d_rand, n),
+                  want_max)
             << "n=" << n;
     }
 }
 
-TEST_F(KernelDifferential, PairMaxBitIdentical)
+TEST(KernelDifferential, PairMaxBitIdentical)
 {
+    // std::max's (a < b) ? b : a: ties and signed zeros keep the first
+    // child, and a NaN first child propagates while a NaN second does not.
+    const std::vector<double> children = {2.0, 3.0, 3.0,  2.0, 0.0,
+                                          -0.0, -0.0, 0.0, 1.0, kNaN,
+                                          kNaN, 1.0};
+    std::vector<double> parent(children.size() / 2, -1.0);
+    kernels::pairMax(parent.data(), children.data(), parent.size());
+    expectSameBits(parent[0], 3.0, "(2, 3)");
+    expectSameBits(parent[1], 3.0, "(3, 2)");
+    expectSameBits(parent[2], 0.0, "(+0, -0)");
+    expectSameBits(parent[3], -0.0, "(-0, +0)");
+    expectSameBits(parent[4], 1.0, "(1, NaN)");
+    EXPECT_TRUE(std::isnan(parent[5])) << "(NaN, 1)";
+
     Rng rng(0x9A13ull);
     for (std::size_t n : kSizes) {
-        const std::vector<double> children = randomDoubles(rng, 2 * n);
-        std::vector<double> a(n, -1.0), b(n, -2.0);
-        scalar_.pairMax(a.data(), children.data(), n);
-        avx2_.pairMax(b.data(), children.data(), n);
+        const std::vector<double> c = randomDoubles(rng, 2 * n);
+        std::vector<double> got(n, -1.0);
+        kernels::pairMax(got.data(), c.data(), n);
         for (std::size_t i = 0; i < n; ++i)
-            ASSERT_EQ(a[i], b[i]) << "n=" << n << " i=" << i;
+            ASSERT_EQ(got[i], std::max(c[2 * i], c[2 * i + 1]))
+                << "n=" << n << " i=" << i;
     }
 }
 
-TEST_F(KernelDifferential, LinkSlotsBitIdentical)
+TEST(KernelDifferential, LinkSlotsBitIdentical)
 {
-    Rng rng(0x11A5ull);
     const std::uint64_t nodes = 1u << 24; // the accumulator's kMaxNodes
+    const noc::NodeId last = static_cast<noc::NodeId>(nodes - 1);
+    const std::vector<std::pair<noc::LinkKey, double>> links = {
+        {noc::makeLink(0, 5), 1.0},
+        {noc::makeLink(1, 0), 1.0},
+        {noc::makeLink(123456, 654321), 1.0},
+        {noc::makeLink(last, 0), 1.0},
+        {noc::makeLink(last, last), 1.0},
+    };
+    std::vector<std::uint64_t> slots(links.size(), 0);
+    kernels::linkSlots(slots.data(), links.data(), nodes, links.size());
+    EXPECT_EQ(slots, (std::vector<std::uint64_t>{
+                         5ull, 16777216ull, 2071248632817ull,
+                         281474959933440ull, 281474976710655ull}));
+
+    Rng rng(0x11A5ull);
     for (std::size_t n : kSizes) {
-        std::vector<std::pair<noc::LinkKey, double>> links(n);
-        for (auto &[key, bytes] : links) {
+        std::vector<std::pair<noc::LinkKey, double>> l(n);
+        for (auto &[key, bytes] : l) {
             const auto from = static_cast<noc::NodeId>(
                 rng.nextInt(static_cast<std::int64_t>(nodes)));
             const auto to = static_cast<noc::NodeId>(
@@ -157,37 +222,16 @@ TEST_F(KernelDifferential, LinkSlotsBitIdentical)
             key = noc::makeLink(from, to);
             bytes = rng.nextDouble();
         }
-        std::vector<std::uint64_t> a(n, 1), b(n, 2);
-        scalar_.linkSlots(a.data(), links.data(), nodes, n);
-        avx2_.linkSlots(b.data(), links.data(), nodes, n);
+        std::vector<std::uint64_t> got(n, 1);
+        kernels::linkSlots(got.data(), l.data(), nodes, n);
         for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(a[i], b[i]) << "n=" << n << " i=" << i;
-            const std::uint64_t expect =
-                static_cast<std::uint64_t>(noc::linkFrom(links[i].first)) *
+            const std::uint64_t want =
+                static_cast<std::uint64_t>(noc::linkFrom(l[i].first)) *
                     nodes +
-                static_cast<std::uint64_t>(noc::linkTo(links[i].first));
-            ASSERT_EQ(a[i], expect) << "n=" << n << " i=" << i;
+                static_cast<std::uint64_t>(noc::linkTo(l[i].first));
+            ASSERT_EQ(got[i], want) << "n=" << n << " i=" << i;
         }
     }
-}
-
-TEST(SimdDispatch, NamesAndForceRoundTrip)
-{
-    EXPECT_STREQ(common::simdLevelName(SimdLevel::Scalar), "scalar");
-    EXPECT_STREQ(common::simdLevelName(SimdLevel::Avx2), "avx2");
-
-    const SimdLevel before = common::activeSimdLevel();
-    ASSERT_TRUE(common::forceSimdLevel(SimdLevel::Scalar));
-    EXPECT_EQ(common::activeSimdLevel(), SimdLevel::Scalar);
-    if (common::detectedSimdLevel() >= SimdLevel::Avx2) {
-        ASSERT_TRUE(common::forceSimdLevel(SimdLevel::Avx2));
-        EXPECT_EQ(common::activeSimdLevel(), SimdLevel::Avx2);
-    } else {
-        // Forcing an unsupported variant must refuse and change nothing.
-        EXPECT_FALSE(common::forceSimdLevel(SimdLevel::Avx2));
-        EXPECT_EQ(common::activeSimdLevel(), SimdLevel::Scalar);
-    }
-    ASSERT_TRUE(common::forceSimdLevel(before));
 }
 
 TEST(ParseCpuList, CoversRangesSinglesAndJunk)

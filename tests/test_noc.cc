@@ -65,7 +65,7 @@ TEST(TrafficMap, LinkKeyRoundTrip)
 
 TEST(NocModel, XyRoutingHopCount)
 {
-    NocModel noc(mesh4x4());
+    InterconnectModel noc(mesh4x4());
     // (0,0) -> (3,2): 3 X hops + 2 Y hops.
     const auto &cfg = noc.config();
     EXPECT_EQ(noc.hopCount(cfg.coreAt(0, 0), cfg.coreAt(3, 2)), 5);
@@ -74,7 +74,7 @@ TEST(NocModel, XyRoutingHopCount)
 
 TEST(NocModel, XyRoutingGoesXFirst)
 {
-    NocModel noc(mesh4x4());
+    InterconnectModel noc(mesh4x4());
     const auto &cfg = noc.config();
     std::vector<std::pair<NodeId, NodeId>> hops;
     noc.forEachHop(cfg.coreAt(0, 0), cfg.coreAt(2, 1),
@@ -90,7 +90,7 @@ TEST(NocModel, TorusWrapsShortestDirection)
 {
     arch::ArchConfig a = mesh4x4();
     a.topology = arch::Topology::FoldedTorus;
-    NocModel noc(a);
+    InterconnectModel noc(a);
     // (0,0) -> (3,0): mesh needs 3 hops, torus wraps in 1.
     EXPECT_EQ(noc.hopCount(a.coreAt(0, 0), a.coreAt(3, 0)), 1);
     // (0,0) -> (2,0): forward 2 == backward 2, tie -> 2 hops either way.
@@ -101,7 +101,7 @@ TEST(NocModel, TorusWrapsShortestDirection)
 
 TEST(NocModel, MeshNeverExceedsManhattan)
 {
-    NocModel noc(mesh4x4());
+    InterconnectModel noc(mesh4x4());
     const auto &cfg = noc.config();
     for (CoreId s = 0; s < cfg.coreCount(); ++s) {
         for (CoreId d = 0; d < cfg.coreCount(); ++d) {
@@ -114,7 +114,7 @@ TEST(NocModel, MeshNeverExceedsManhattan)
 
 TEST(NocModel, DramEntersAtDestinationRow)
 {
-    NocModel noc(mesh4x4());
+    InterconnectModel noc(mesh4x4());
     const auto &cfg = noc.config();
     // DRAM 0 (west) -> core (2,3): injection at (0,3), then 2 X hops.
     std::vector<std::pair<NodeId, NodeId>> hops;
@@ -132,7 +132,7 @@ TEST(NocModel, DramEntersAtDestinationRow)
 
 TEST(NocModel, CoreToDramExitsAtOwnRow)
 {
-    NocModel noc(mesh4x4());
+    InterconnectModel noc(mesh4x4());
     const auto &cfg = noc.config();
     std::vector<std::pair<NodeId, NodeId>> hops;
     noc.forEachHop(cfg.coreAt(2, 1), noc.dramNode(0),
@@ -144,7 +144,7 @@ TEST(NocModel, CoreToDramExitsAtOwnRow)
 
 TEST(NocModel, LinkKindDetectsD2d)
 {
-    NocModel noc(mesh4x4(2, 1)); // two 2x4 chiplets
+    InterconnectModel noc(mesh4x4(2, 1)); // two 2x4 chiplets
     const auto &cfg = noc.config();
     EXPECT_EQ(noc.linkKind(cfg.coreAt(0, 0), cfg.coreAt(1, 0)),
               LinkKind::OnChip);
@@ -154,14 +154,14 @@ TEST(NocModel, LinkKindDetectsD2d)
     EXPECT_EQ(noc.linkKind(noc.dramNode(0), cfg.coreAt(0, 0)),
               LinkKind::D2D);
     // ...but on-chip for a monolithic one.
-    NocModel mono(mesh4x4(1, 1));
+    InterconnectModel mono(mesh4x4(1, 1));
     EXPECT_EQ(mono.linkKind(mono.dramNode(0), cfg.coreAt(0, 0)),
               LinkKind::OnChip);
 }
 
 TEST(NocModel, LinkBandwidthFollowsKind)
 {
-    NocModel noc(mesh4x4(2, 1));
+    InterconnectModel noc(mesh4x4(2, 1));
     const auto &cfg = noc.config();
     EXPECT_DOUBLE_EQ(noc.linkBandwidthBps(cfg.coreAt(0, 0),
                                           cfg.coreAt(1, 0)),
@@ -173,7 +173,7 @@ TEST(NocModel, LinkBandwidthFollowsKind)
 
 TEST(NocModel, UnicastAccumulatesAlongPath)
 {
-    NocModel noc(mesh4x4());
+    InterconnectModel noc(mesh4x4());
     const auto &cfg = noc.config();
     TrafficMap map;
     noc.unicast(map, cfg.coreAt(0, 0), cfg.coreAt(2, 0), 100.0);
@@ -184,7 +184,7 @@ TEST(NocModel, UnicastAccumulatesAlongPath)
 
 TEST(NocModel, MulticastChargesSharedTrunkOnce)
 {
-    NocModel noc(mesh4x4());
+    InterconnectModel noc(mesh4x4());
     const auto &cfg = noc.config();
     TrafficMap map;
     // Destinations share the horizontal trunk (0,0)->(2,0).
@@ -200,7 +200,7 @@ TEST(NocModel, MulticastChargesSharedTrunkOnce)
 
 TEST(NocModel, MulticastEqualsUnionOfUnicastLinks)
 {
-    NocModel noc(mesh4x4());
+    InterconnectModel noc(mesh4x4());
     const auto &cfg = noc.config();
     const std::vector<NodeId> dsts{cfg.coreAt(3, 3), cfg.coreAt(3, 0),
                                    cfg.coreAt(1, 2)};
@@ -219,7 +219,7 @@ TEST(NocModel, MulticastEqualsUnionOfUnicastLinks)
 
 TEST(NocModel, SummarizeSplitsD2dBytes)
 {
-    NocModel noc(mesh4x4(2, 1));
+    InterconnectModel noc(mesh4x4(2, 1));
     const auto &cfg = noc.config();
     TrafficMap map;
     noc.unicast(map, cfg.coreAt(0, 0), cfg.coreAt(3, 0), 8.0); // 1 D2D hop
@@ -232,14 +232,14 @@ TEST(NocModel, SummarizeSplitsD2dBytes)
 
 TEST(NocModel, NodeLabels)
 {
-    NocModel noc(mesh4x4());
+    InterconnectModel noc(mesh4x4());
     EXPECT_EQ(noc.nodeLabel(noc.config().coreAt(2, 3)), "(2,3)");
     EXPECT_EQ(noc.nodeLabel(noc.dramNode(1)), "DRAM#2");
 }
 
 TEST(NocModel, SimbaScaleGeometry)
 {
-    NocModel noc(arch::simbaArch());
+    InterconnectModel noc(arch::simbaArch());
     // 36 cores + 2 DRAM nodes.
     EXPECT_EQ(noc.nodeCount(), 38);
     // Every hop between distinct cores crosses a chiplet boundary (each

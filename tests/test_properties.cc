@@ -159,7 +159,7 @@ TEST_P(RoutingP, FlowConservationAtIntermediateNodes)
     arch::ArchConfig a = arch::tinyArch();
     a.xCores = 5;
     a.yCores = 4;
-    noc::NocModel noc(a);
+    noc::InterconnectModel noc(a);
     Rng rng(GetParam());
     noc::TrafficMap map;
     std::vector<double> injected(noc.nodeCount(), 0.0);
@@ -198,7 +198,7 @@ TEST_P(RoutingP, MulticastNeverExceedsUnicastUnion)
     a.yCores = 4;
     a.topology = (GetParam() % 2) ? arch::Topology::FoldedTorus
                                   : arch::Topology::Mesh;
-    noc::NocModel noc(a);
+    noc::InterconnectModel noc(a);
     Rng rng(GetParam());
     for (int trial = 0; trial < 20; ++trial) {
         const auto src = static_cast<noc::NodeId>(
